@@ -10,12 +10,15 @@ Pieces
 ------
 :mod:`repro.cache.keys`
     Canonical hashing: a deterministic type-tagged encoding (dict-order
-    and float-formatting insensitive) plus domain fingerprints for
-    DAGs, schedules, suites, cost models and the emulator.
+    and float-formatting insensitive), domain fingerprints for DAGs,
+    schedules, suites, cost models and the emulator, and
+    :func:`layer_keys`, which builds each cell's schedule, simulation
+    and testbed keys from the fingerprints' digests, each hashed once.
 :mod:`repro.cache.store`
-    Atomic file-per-entry store (write-temp-then-rename, fork-pool
-    safe) with an in-process LRU tier and corruption/version-skew
-    detection.
+    Atomic file-per-entry store (``<layer>/<hash>.pkl``,
+    write-temp-then-rename, fork-pool safe) with corruption and
+    version-skew detection.  It keeps no in-memory tier, and a failed
+    write is counted and skipped instead of aborting the study.
 :mod:`repro.cache.result_cache`
     The :class:`ResultCache` facade the pipeline calls, with per-layer
     hit/miss counters through the observability Recorder.
@@ -40,6 +43,7 @@ from repro.cache.keys import (
     costs_fingerprint,
     dag_fingerprint,
     emulator_fingerprint,
+    layer_keys,
     schedule_fingerprint,
     suite_fingerprint,
 )
@@ -59,6 +63,7 @@ __all__ = [
     "costs_fingerprint",
     "dag_fingerprint",
     "emulator_fingerprint",
+    "layer_keys",
     "schedule_fingerprint",
     "suite_fingerprint",
 ]

@@ -28,6 +28,12 @@ classes carrying derived mutable state (memo tables, topo-order caches)
 need an explicit fingerprint here instead — :func:`dag_fingerprint` and
 :func:`schedule_fingerprint` exist precisely because :class:`TaskGraph`
 and :class:`Schedule` are such classes.
+
+Digest keys: the pipeline's layer keys never embed a fingerprint
+itself, only its hex digest (see :func:`layer_keys`).  A profile
+suite's models encode to ~8 KB, so re-encoding them into every cell's
+key dominated a cached study; hashing each fingerprint once and keying
+on the digest is equivalent (SHA-256 collisions aside) and cheap.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ __all__ = [
     "suite_fingerprint",
     "emulator_fingerprint",
     "costs_fingerprint",
+    "layer_keys",
 ]
 
 
@@ -56,44 +63,61 @@ class CacheKeyError(ReproError):
     """An object cannot be canonically encoded into a cache key."""
 
 
+_pack_f64 = struct.Struct(">d").pack
+
+
 def _join(tag: bytes, parts: list[bytes]) -> bytes:
-    """Unambiguous composite: tag, child count, length-prefixed children."""
-    out = [tag, struct.pack(">I", len(parts))]
-    for part in parts:
-        out.append(struct.pack(">I", len(part)))
-        out.append(part)
-    return b"".join(out)
+    """Unambiguous composite: tag, child count, child lengths, children."""
+    n = len(parts)
+    header = struct.pack(f">{n + 1}I", n, *map(len, parts))
+    return tag + header + b"".join(parts)
+
+
+def _encode_items(items, stack: tuple[int, ...]) -> list[bytes]:
+    """Encode each item; scalars, the bulk of any fingerprint or key,
+    inline (same bytes as :func:`_encode`, without a call per item)."""
+    out = []
+    append = out.append
+    for item in items:
+        cls = type(item)
+        if cls is int:
+            append(b"i%d" % item)
+        elif cls is float:
+            append(b"f" + _pack_f64(item))
+        elif cls is str:
+            append(b"s" + item.encode("utf-8"))
+        else:
+            append(_encode(item, stack))
+    return out
 
 
 def _encode(obj: Any, stack: tuple[int, ...]) -> bytes:
-    if obj is None:
-        return b"N"
-    if obj is True:
-        return b"T"
-    if obj is False:
-        return b"F"
     cls = type(obj)
     if cls is int:
-        return b"i" + repr(obj).encode("ascii")
+        return b"i%d" % obj
     if cls is float:
-        return b"f" + struct.pack(">d", obj)
+        return b"f" + _pack_f64(obj)
     if cls is str:
         return b"s" + obj.encode("utf-8")
+    if obj is None:
+        return b"N"
+    if cls is bool:
+        return b"T" if obj else b"F"
     if cls is bytes:
         return b"b" + obj
     # Containers: guard against cycles via the identity stack.
     if id(obj) in stack:
         raise CacheKeyError("cannot encode a cyclic structure into a cache key")
     sub = stack + (id(obj),)
-    if cls in (list, tuple):
-        return _join(b"L", [_encode(item, sub) for item in obj])
+    if cls is list or cls is tuple:
+        return _join(b"L", _encode_items(obj, sub))
     if cls is dict:
         entries = sorted(
-            (_encode(k, sub), _encode(v, sub)) for k, v in obj.items()
+            zip(_encode_items(obj, sub), _encode_items(obj.values(), sub))
         )
         return _join(b"D", [kv for pair in entries for kv in pair])
     if cls in (set, frozenset):
-        return _join(b"S", sorted(_encode(item, sub) for item in obj))
+        return _join(b"S", sorted(_encode_items(obj, sub)))
     if isinstance(obj, enum.Enum):
         return _join(
             b"E",
@@ -161,25 +185,36 @@ def dag_fingerprint(graph) -> dict:
     must not leak into the key, and because edge insertion order is not
     semantically meaningful.
     """
+    tasks = sorted(graph, key=lambda t: t.task_id)
+    edges = sorted(graph.edges())
+    # By column, like schedule_fingerprint: flat lists of scalars.
     return {
         "name": graph.name,
-        "tasks": [
-            (t.task_id, t.kernel.name, t.n, t.name)
-            for t in sorted(graph, key=lambda t: t.task_id)
-        ],
-        "edges": sorted(graph.edges()),
+        "task_ids": [t.task_id for t in tasks],
+        "kernels": [t.kernel.name for t in tasks],
+        "sizes": [t.n for t in tasks],
+        "task_names": [t.name for t in tasks],
+        "edge_src": [src for src, _dst in edges],
+        "edge_dst": [dst for _src, dst in edges],
     }
 
 
 def schedule_fingerprint(schedule) -> dict:
-    """Semantic content of a :class:`~repro.scheduling.schedule.Schedule`."""
+    """Semantic content of a :class:`~repro.scheduling.schedule.Schedule`.
+
+    Placements are laid out by column, in task-id order: flat lists of
+    scalars encode ~30% faster than one tuple per task, and a study
+    hashes one schedule per cell.
+    """
+    tasks = sorted(schedule.placements)
+    placements = [schedule.placements[t] for t in tasks]
     return {
         "algorithm": schedule.algorithm,
         "order": list(schedule.order),
-        "placements": {
-            task_id: (p.hosts, p.est_start, p.est_finish)
-            for task_id, p in schedule.placements.items()
-        },
+        "tasks": tasks,
+        "hosts": [p.hosts for p in placements],
+        "est_start": [p.est_start for p in placements],
+        "est_finish": [p.est_finish for p in placements],
     }
 
 
@@ -226,3 +261,58 @@ def emulator_fingerprint(emulator) -> dict:
             for f in dataclasses.fields(emulator)
         },
     }
+
+
+# ----------------------------------------------------------------------
+# layer keys
+# ----------------------------------------------------------------------
+def layer_keys(
+    *,
+    dag: str,
+    algorithm: str | None = None,
+    costs: str | None = None,
+    simulator: str | None = None,
+    emulator: str | None = None,
+    schedule: str | None = None,
+) -> dict[str, dict]:
+    """The schedule, simulation and testbed keys of one grid cell.
+
+    Every argument is the :func:`canonical_hash` digest of the matching
+    fingerprint (``algorithm`` excepted, which is the algorithm name):
+    ``dag`` of :func:`dag_fingerprint`, ``costs`` of
+    :func:`costs_fingerprint`, ``simulator`` of
+    :meth:`~repro.simgrid.simulator.ApplicationSimulator.model_fingerprint`,
+    ``emulator`` of :func:`emulator_fingerprint` and ``schedule`` of
+    :func:`schedule_fingerprint`.  A caller hashes each fingerprint once
+    — a study hashes its suites and DAGs once, not per cell — and the
+    keys stay small, so hashing a key costs microseconds.
+
+    Returns the keys whose inputs are all given: ``"schedule"`` (needs
+    ``algorithm`` and ``costs``), ``"simulation"`` (``simulator`` and
+    ``schedule``) and ``"testbed"`` (``emulator`` and ``schedule``).
+    This is the only place these keys are built, so a study, its cache
+    planner and the standalone :func:`~repro.scheduling.driver.schedule_dag`
+    and :meth:`~repro.simgrid.simulator.ApplicationSimulator.run_cached`
+    always agree on them.  The simulation and testbed keys both live in
+    the cache's ``"simulation"`` layer, told apart by ``"executor"``.
+    """
+    keys: dict[str, dict] = {}
+    if algorithm is not None and costs is not None:
+        keys["schedule"] = {"algorithm": algorithm, "dag": dag, "costs": costs}
+    if schedule is not None:
+        if simulator is not None:
+            keys["simulation"] = {
+                "executor": "simulator",
+                "simulator": simulator,
+                "dag": dag,
+                "schedule": schedule,
+            }
+        if emulator is not None:
+            keys["testbed"] = {
+                "executor": "testbed",
+                "emulator": emulator,
+                "dag": dag,
+                "schedule": schedule,
+                "run_label": 0,
+            }
+    return keys

@@ -21,8 +21,13 @@ once.  Hit/miss tallies are recorded per layer through the global
 :class:`~repro.obs.recorder.Recorder` as ``cache.hits`` /
 ``cache.misses`` / ``cache.<layer>.hits`` / ``cache.<layer>.misses``
 counters, alongside the store's ``cache.bytes_read`` /
-``cache.bytes_written``; ``repro report`` turns them into per-layer
-hit rates.
+``cache.bytes_written`` / ``cache.write_errors``; ``repro report``
+turns them into per-layer hit rates.
+
+The pipeline's schedule and simulation keys are small dicts of
+fingerprint digests built by :func:`repro.cache.keys.layer_keys`, so
+hashing a key here is cheap; the calibration key still embeds the
+emulator's fingerprint, once per suite build.
 """
 
 from __future__ import annotations
@@ -48,18 +53,13 @@ class ResultCache:
     """Content-addressed memoization over a directory.
 
     Safe to share with forked pool workers: lookups and stores go
-    through the store's atomic file protocol, and each process keeps
-    its own in-memory LRU tier.
+    through the store's atomic file protocol.
     """
 
     def __init__(
-        self,
-        root: str | Path,
-        *,
-        schema: str = CACHE_SCHEMA_VERSION,
-        lru_entries: int = 512,
+        self, root: str | Path, *, schema: str = CACHE_SCHEMA_VERSION
     ) -> None:
-        self.store = CacheStore(root, schema=schema, lru_entries=lru_entries)
+        self.store = CacheStore(root, schema=schema)
 
     @property
     def root(self) -> Path:
@@ -77,7 +77,8 @@ class ResultCache:
 
         ``key`` is any canonically-encodable structure (see
         :mod:`repro.cache.keys`); ``compute`` runs only on a miss and
-        its result is persisted before being returned.
+        its result is persisted before being returned (or, when the
+        write fails, returned unpersisted — see :meth:`CacheStore.put`).
         """
         key_hash = canonical_hash(key)
         found, value = self.store.get(layer, key_hash)
@@ -97,8 +98,8 @@ class ResultCache:
     def peek(self, layer: str, key: Any) -> tuple[bool, Any]:
         """Side-effect-free probe of ``(layer, key)``; ``(found, value)``.
 
-        Records no hit/miss counters, warms no LRU tier and discards no
-        stale files (see :meth:`CacheStore.peek`): the study planner
+        Records no hit/miss counters and discards no stale files (see
+        :meth:`CacheStore.peek`): the study planner
         uses it to decide *where* a cell should run, and every value a
         study actually consumes still flows through the counted
         :meth:`get_or_compute` path afterwards.

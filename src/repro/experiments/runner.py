@@ -31,9 +31,11 @@ The parallel path runs in three stages, all bit-identical to the
 serial loop:
 
 1. **Planner** (:func:`_plan_cache_hits`): with a cache attached, every
-   cell's schedule/simulation/testbed keys are hashed in one pass —
-   shared fingerprints (emulator, platform+models, per-DAG content)
-   are computed once, not per cell — and probed *side-effect-free*
+   cell's schedule/simulation/testbed keys are built in one pass from
+   the study's fingerprint digests (:class:`_StudyDigests`: emulator,
+   per-suite cost and simulator models, per-DAG content — each hashed
+   once per study, and inherited by the pool's workers) and probed
+   *side-effect-free*
    (:meth:`~repro.cache.result_cache.ResultCache.peek`).  Fully cached
    cells never reach the pool: the parent replays them inline through
    the exact per-cell path, so their counters and records are the ones
@@ -69,9 +71,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.cache.keys import (
+    canonical_hash,
     costs_fingerprint,
     dag_fingerprint,
     emulator_fingerprint,
+    layer_keys,
     schedule_fingerprint,
 )
 from repro.cache.result_cache import ResultCache
@@ -247,6 +251,53 @@ class StudyResult:
         return list(seen)
 
 
+class _StudyDigests:
+    """Fingerprint digests of one study's inputs, each hashed once.
+
+    Every cell's layer keys are built from these (see
+    :func:`~repro.cache.keys.layer_keys`) plus its own schedule's
+    digest, so a profile suite's ~8 KB of model state is encoded once
+    per study instead of once per key.  Pool workers inherit the
+    digests across the fork.
+    """
+
+    def __init__(
+        self,
+        dags: Sequence[tuple[DagParameters, TaskGraph]],
+        suites: Sequence[SimulatorSuite],
+        emulator: TGridEmulator,
+    ) -> None:
+        self.emulator = canonical_hash(emulator_fingerprint(emulator))
+        self.dags = [canonical_hash(dag_fingerprint(g)) for _p, g in dags]
+        self.suites = []
+        for suite in suites:
+            # Built the way the cell path builds its simulator.  A
+            # SchedulingCosts holds the same platform and (defaulted)
+            # models, so the simulator also yields the costs digest.
+            simulator = ApplicationSimulator(
+                emulator.platform,
+                suite.task_model,
+                startup_model=suite.startup_model,
+                redistribution_model=suite.redistribution_model,
+            )
+            self.suites.append(
+                (
+                    canonical_hash(costs_fingerprint(simulator)),
+                    canonical_hash(simulator.model_fingerprint()),
+                )
+            )
+
+    def cell(self, suite_idx: int, dag_idx: int) -> dict[str, str]:
+        """The digests of one (suite, DAG) pair, as ``layer_keys`` kwargs."""
+        costs, simulator = self.suites[suite_idx]
+        return {
+            "dag": self.dags[dag_idx],
+            "costs": costs,
+            "simulator": simulator,
+            "emulator": self.emulator,
+        }
+
+
 def _run_cell(
     suite: SimulatorSuite,
     params: DagParameters,
@@ -258,6 +309,7 @@ def _run_cell(
     engine: str | None = None,
     simulator: ApplicationSimulator | None = None,
     sched: str | None = None,
+    digests: dict[str, str] | None = None,
 ) -> RunRecord:
     """One grid cell: schedule, simulate, execute, record.
 
@@ -277,9 +329,10 @@ def _run_cell(
     exactly its key — the emulator derives its RNG from its own
     configuration plus (dag, algorithm, run label), never from shared
     sequential state — so cached replays are bit-identical to fresh
-    computation, serial or pooled.
+    computation, serial or pooled.  The keys are built from
+    ``digests`` (:meth:`_StudyDigests.cell`, required with a cache)
+    and the schedule's own digest, hashed once for both trace keys.
     """
-    platform = emulator.platform
     obs = get_recorder()
     tl = obs.timeline if obs.enabled else None
     cell_ctx = (
@@ -291,7 +344,7 @@ def _run_cell(
         return _run_cell_body(
             suite, params, graph, algorithm, emulator, obs,
             costs=costs, cache=cache, engine=engine, simulator=simulator,
-            sched=sched,
+            sched=sched, digests=digests,
         )
 
 
@@ -307,6 +360,7 @@ def _run_cell_body(
     engine: str | None = None,
     simulator: ApplicationSimulator | None = None,
     sched: str | None = None,
+    digests: dict[str, str] | None = None,
 ) -> RunRecord:
     platform = emulator.platform
     if costs is None:
@@ -317,10 +371,21 @@ def _run_cell_body(
             startup_model=suite.startup_model,
             redistribution_model=suite.redistribution_model,
         )
+    keys: dict[str, dict] = {}
+    if cache is not None:
+        keys = layer_keys(algorithm=algorithm, **digests)
     with obs.span(
         "study.schedule", algorithm=algorithm, simulator=suite.name
     ):
-        schedule = schedule_dag(graph, costs, algorithm, cache=cache, sched=sched)
+        schedule = schedule_dag(
+            graph, costs, algorithm, cache=cache, sched=sched,
+            cache_key=keys.get("schedule"),
+        )
+    if cache is not None:
+        keys = layer_keys(
+            schedule=canonical_hash(schedule_fingerprint(schedule)),
+            **digests,
+        )
     if simulator is None:
         simulator = ApplicationSimulator(
             platform,
@@ -332,23 +397,18 @@ def _run_cell_body(
     with obs.span(
         "study.simulate", algorithm=algorithm, simulator=suite.name
     ):
-        sim_trace = simulator.run_cached(graph, schedule, cache)
+        sim_trace = simulator.run_cached(
+            graph, schedule, cache, cache_key=keys.get("simulation")
+        )
     with obs.span(
         "study.execute", algorithm=algorithm, simulator=suite.name
     ):
         if cache is None:
             exp_trace = emulator.execute(graph, schedule, engine=engine)
         else:
-            exp_key = {
-                "executor": "testbed",
-                "emulator": emulator_fingerprint(emulator),
-                "dag": dag_fingerprint(graph),
-                "schedule": schedule_fingerprint(schedule),
-                "run_label": 0,
-            }
             exp_trace = cache.get_or_compute(
                 "simulation",
-                exp_key,
+                keys["testbed"],
                 lambda: emulator.execute(graph, schedule, engine=engine),
             )
     record = RunRecord(
@@ -392,6 +452,7 @@ def _pool_init(
     profiler_enabled: bool = False,
     sched: str | None = None,
     live: tuple | None = None,
+    digests: _StudyDigests | None = None,
 ) -> None:
     _POOL_STATE["dags"] = dags
     _POOL_STATE["suites"] = suites
@@ -402,6 +463,7 @@ def _pool_init(
     _POOL_STATE["timeline_enabled"] = timeline_enabled
     _POOL_STATE["profiler_enabled"] = profiler_enabled
     _POOL_STATE["sched"] = sched
+    _POOL_STATE["digests"] = digests
     # Per-suite simulator reuse within a worker: the array backend's
     # arena and consumption memos then amortize across every cell the
     # worker processes (simulators are reusable across runs).
@@ -450,10 +512,12 @@ def _chunk_cell(cell: tuple[int, int, str], state: dict) -> RunRecord:
             redistribution_model=suite.redistribution_model,
         )
         state["costs"][(suite_idx, dag_idx)] = costs
+    digests = state.get("digests")
     return _run_cell(
         suite, params, graph, algorithm, emulator, costs=costs,
         cache=state.get("cache"), engine=engine, simulator=simulator,
         sched=state.get("sched"),
+        digests=digests and digests.cell(suite_idx, dag_idx),
     )
 
 
@@ -533,83 +597,39 @@ def _pool_run_chunk(
 
 def _plan_cache_hits(
     cells: Sequence[tuple[int, int, str]],
-    dags: Sequence[tuple[DagParameters, TaskGraph]],
-    suites: Sequence[SimulatorSuite],
-    emulator: TGridEmulator,
+    digests: _StudyDigests | None,
     cache: ResultCache | None,
 ) -> list[bool]:
     """One-pass batched cache probe: which cells are fully cached?
 
-    Hashes every cell's schedule/simulation/testbed keys with shared
-    fingerprints computed once — the emulator's, one costs/simulator
-    model fingerprint per suite (they do not depend on the DAG), one
-    DAG fingerprint per DAG — and probes the cache *side-effect-free*
-    (:meth:`~repro.cache.result_cache.ResultCache.peek` /
-    :meth:`~repro.cache.result_cache.ResultCache.contains`), so the
-    probe leaves hit/miss counters, byte counters and the LRU exactly
-    as if it never ran.  A True entry is advisory: the parent replays
-    that cell inline through the normal counted path, which still
-    detects (and counts) a stale or corrupt entry — a wrong hint only
-    moves where the cell computes, never what it produces.
+    Builds every cell's schedule/simulation/testbed keys from the
+    study's digests — exactly as the cell path builds them, through
+    :func:`~repro.cache.keys.layer_keys` — and probes the cache
+    *side-effect-free* (:meth:`~repro.cache.result_cache.ResultCache.peek`
+    / :meth:`~repro.cache.result_cache.ResultCache.contains`), so the
+    probe leaves hit/miss and byte counters exactly as if it never ran.
+    A True entry is advisory: the parent replays that cell inline
+    through the normal counted path, which still detects (and counts) a
+    stale or corrupt entry — a wrong hint only moves where the cell
+    computes, never what it produces.
     """
     if cache is None:
         return [False] * len(cells)
-    platform = emulator.platform
-    emulator_fp = emulator_fingerprint(emulator)
-    dag_fps: dict[int, dict] = {}
-    suite_fps: dict[int, tuple[dict, dict]] = {}
     hits: list[bool] = []
     for suite_idx, dag_idx, algorithm in cells:
-        fps = suite_fps.get(suite_idx)
-        if fps is None:
-            suite = suites[suite_idx]
-            # Built exactly the way the cell path builds them, so the
-            # fingerprints match byte for byte (model defaulting
-            # included).
-            costs_fp = costs_fingerprint(
-                SchedulingCosts(
-                    dags[dag_idx][1],
-                    platform,
-                    suite.task_model,
-                    startup_model=suite.startup_model,
-                    redistribution_model=suite.redistribution_model,
-                )
-            )
-            sim_fp = ApplicationSimulator(
-                platform,
-                suite.task_model,
-                startup_model=suite.startup_model,
-                redistribution_model=suite.redistribution_model,
-            ).model_fingerprint()
-            fps = suite_fps[suite_idx] = (costs_fp, sim_fp)
-        costs_fp, sim_fp = fps
-        dag_fp = dag_fps.get(dag_idx)
-        if dag_fp is None:
-            dag_fp = dag_fps[dag_idx] = dag_fingerprint(dags[dag_idx][1])
+        cell = digests.cell(suite_idx, dag_idx)
         found, schedule = cache.peek(
-            "schedule",
-            {"algorithm": algorithm, "dag": dag_fp, "costs": costs_fp},
+            "schedule", layer_keys(algorithm=algorithm, **cell)["schedule"]
         )
         if not found:
             hits.append(False)
             continue
-        sched_fp = schedule_fingerprint(schedule)
-        sim_key = {
-            "executor": "simulator",
-            "simulator": sim_fp,
-            "dag": dag_fp,
-            "schedule": sched_fp,
-        }
-        exp_key = {
-            "executor": "testbed",
-            "emulator": emulator_fp,
-            "dag": dag_fp,
-            "schedule": sched_fp,
-            "run_label": 0,
-        }
+        keys = layer_keys(
+            schedule=canonical_hash(schedule_fingerprint(schedule)), **cell
+        )
         hits.append(
-            cache.contains("simulation", sim_key)
-            and cache.contains("simulation", exp_key)
+            cache.contains("simulation", keys["simulation"])
+            and cache.contains("simulation", keys["testbed"])
         )
     return hits
 
@@ -654,6 +674,7 @@ def _run_grid_chunked(
     chunk: int | None,
     obs: Recorder,
     telemetry: LiveTelemetry | None = None,
+    digests: _StudyDigests | None = None,
 ) -> float:
     """Plan, dispatch and merge the parallel grid; returns the seconds
     the parent spent blocked on pool futures (the dispatch wait).
@@ -673,7 +694,7 @@ def _run_grid_chunked(
     ]
     if not cells:
         return 0.0
-    hits = _plan_cache_hits(cells, dags, suites, emulator, cache)
+    hits = _plan_cache_hits(cells, digests, cache)
     misses = [pos for pos, hit in enumerate(hits) if not hit]
     pool_workers = max(1, min(workers, len(misses)))
     chunk_size = resolve_chunk(chunk)
@@ -721,6 +742,7 @@ def _run_grid_chunked(
         return _run_cell(
             suite, params, graph, algorithm, emulator, costs=costs,
             cache=cache, engine=engine, simulator=simulator, sched=sched,
+            digests=digests and digests.cell(suite_idx, dag_idx),
         )
 
     if not chunks:
@@ -769,7 +791,7 @@ def _run_grid_chunked(
         initargs=(
             dags, suites, emulator, obs.enabled, cache, engine,
             obs.timeline is not None, obs.profiler is not None,
-            sched, live,
+            sched, live, digests,
         ),
     ) as pool:
         # All chunks are submitted up front into the pool's shared
@@ -906,10 +928,13 @@ def run_study(
             obs.count("runner.workers_clamped")
     grid_t0 = time.perf_counter()
     dispatch_wait = 0.0
+    digests = (
+        _StudyDigests(dags, suites, emulator) if cache is not None else None
+    )
     if requested > 1:
         dispatch_wait = _run_grid_chunked(
             result, dags, suites, emulator, algorithms, workers,
-            cache, engine, sched, chunk, obs, telemetry,
+            cache, engine, sched, chunk, obs, telemetry, digests,
         )
     else:
         if telemetry is not None and suites and dags and algorithms:
@@ -917,7 +942,7 @@ def run_study(
                 len(suites) * len(dags) * len(algorithms), 0
             )
         pos = 0
-        for suite in suites:
+        for suite_idx, suite in enumerate(suites):
             simulator = ApplicationSimulator(
                 platform,
                 suite.task_model,
@@ -925,7 +950,8 @@ def run_study(
                 redistribution_model=suite.redistribution_model,
                 engine=engine,
             )
-            for params, graph in dags:
+            for dag_idx, (params, graph) in enumerate(dags):
+                cell_digests = digests and digests.cell(suite_idx, dag_idx)
                 costs = SchedulingCosts(
                     graph,
                     platform,
@@ -943,6 +969,7 @@ def run_study(
                             suite, params, graph, algorithm, emulator,
                             costs=costs, cache=cache, engine=engine,
                             simulator=simulator, sched=sched,
+                            digests=cell_digests,
                         )
                     )
                     if telemetry is not None:

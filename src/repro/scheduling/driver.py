@@ -5,7 +5,12 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Callable
 
-from repro.cache.keys import costs_fingerprint, dag_fingerprint
+from repro.cache.keys import (
+    canonical_hash,
+    costs_fingerprint,
+    dag_fingerprint,
+    layer_keys,
+)
 from repro.cache.result_cache import ResultCache
 from repro.dag.graph import TaskGraph
 from repro.obs.recorder import get_recorder
@@ -50,6 +55,7 @@ def schedule_dag(
     *,
     cache: ResultCache | None = None,
     sched: str | None = None,
+    cache_key: dict | None = None,
 ) -> Schedule:
     """Run the named two-phase algorithm and return a validated schedule.
 
@@ -74,16 +80,22 @@ def schedule_dag(
         ``REPRO_SCHED``).  Deliberately *not* part of the cache key:
         both backends produce bit-identical schedules, so cached
         entries replay across backends.
+    cache_key:
+        The ``"schedule"`` key of :func:`~repro.cache.keys.layer_keys`
+        for exactly these inputs, when the caller already holds the
+        digests (the study runner hashes each DAG and suite once).  By
+        default it is computed here from the graph and the costs.
     """
     if cache is not None:
-        key = {
-            "algorithm": algorithm,
-            "dag": dag_fingerprint(graph),
-            "costs": costs_fingerprint(costs),
-        }
+        if cache_key is None:
+            cache_key = layer_keys(
+                dag=canonical_hash(dag_fingerprint(graph)),
+                algorithm=algorithm,
+                costs=canonical_hash(costs_fingerprint(costs)),
+            )["schedule"]
         return cache.get_or_compute(
             "schedule",
-            key,
+            cache_key,
             lambda: _schedule_dag_uncached(graph, costs, algorithm, sched),
         )
     return _schedule_dag_uncached(graph, costs, algorithm, sched)

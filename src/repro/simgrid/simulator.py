@@ -348,7 +348,12 @@ class ApplicationSimulator:
         }
 
     def run_cached(
-        self, graph: TaskGraph, schedule: Schedule, cache
+        self,
+        graph: TaskGraph,
+        schedule: Schedule,
+        cache,
+        *,
+        cache_key: dict | None = None,
     ) -> SimulationTrace:
         """Memoised :meth:`run` under the cache's ``"simulation"`` layer.
 
@@ -357,19 +362,29 @@ class ApplicationSimulator:
         Only meaningful for simulators whose models are pure data
         (suite models); the testbed's ground-truth models draw from an
         RNG stream and are cached at the study-cell level instead.
-        """
-        from repro.cache.keys import dag_fingerprint, schedule_fingerprint
 
+        ``cache_key`` is the ``"simulation"`` key of
+        :func:`~repro.cache.keys.layer_keys` for exactly these inputs,
+        when the caller already holds the digests (the study runner);
+        by default it is computed here.
+        """
         if cache is None:
             return self.run(graph, schedule)
-        key = {
-            "executor": "simulator",
-            "simulator": self.model_fingerprint(),
-            "dag": dag_fingerprint(graph),
-            "schedule": schedule_fingerprint(schedule),
-        }
+        if cache_key is None:
+            from repro.cache.keys import (
+                canonical_hash,
+                dag_fingerprint,
+                layer_keys,
+                schedule_fingerprint,
+            )
+
+            cache_key = layer_keys(
+                dag=canonical_hash(dag_fingerprint(graph)),
+                simulator=canonical_hash(self.model_fingerprint()),
+                schedule=canonical_hash(schedule_fingerprint(schedule)),
+            )["simulation"]
         return cache.get_or_compute(
-            "simulation", key, lambda: self.run(graph, schedule)
+            "simulation", cache_key, lambda: self.run(graph, schedule)
         )
 
     def simulate_batch(

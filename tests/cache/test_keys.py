@@ -20,6 +20,7 @@ from repro.cache.keys import (
     costs_fingerprint,
     dag_fingerprint,
     emulator_fingerprint,
+    layer_keys,
     schedule_fingerprint,
     suite_fingerprint,
 )
@@ -31,6 +32,7 @@ from repro.platform.personalities import bayreuth_cluster
 from repro.profiling.calibration import build_analytical_suite
 from repro.scheduling.costs import SchedulingCosts
 from repro.scheduling.driver import schedule_dag
+from repro.simgrid.simulator import ApplicationSimulator
 from repro.testbed.tgrid import TGridEmulator
 
 # ----------------------------------------------------------------------
@@ -113,6 +115,12 @@ class TestSensitivity:
     def test_unequal_values_hash_differently(self, obj, other):
         if obj != other:
             assert canonical_hash(obj) != canonical_hash(other)
+
+    @given(x=_scalars)
+    def test_container_items_encode_like_values(self, x):
+        # Items take an inlined fast path; it must emit the same bytes.
+        assert canonical_bytes([x]).endswith(canonical_bytes(x))
+        assert canonical_bytes({"k": x}).endswith(canonical_bytes(x))
 
 
 def _diamond(extra_edge=False, n=2000):
@@ -206,6 +214,80 @@ class TestDomainFingerprints:
             )
             != base
         )
+
+
+_TABLE = {("matmul", 2000, 4): 1.25, ("matadd", 2000, 4): 0.5}
+
+
+def _cell_keys(
+    *,
+    graph=None,
+    table=_TABLE,
+    seed=0,
+    algorithm="hcpa",
+) -> dict[str, str]:
+    """Hashed layer keys of one cell, every input at its default except
+    the one a test changes.  The schedule digest is held fixed: it is
+    an input of the keys, not derived from the others here."""
+    platform = bayreuth_cluster(8)
+    graph = graph or _diamond()
+    model = ProfileTaskModel(dict(table))
+    emulator = TGridEmulator(platform, seed=seed)
+    base = _diamond()
+    schedule = schedule_dag(
+        base, SchedulingCosts(base, platform, AnalyticalTaskModel(platform)),
+        "hcpa",
+    )
+    keys = layer_keys(
+        dag=canonical_hash(dag_fingerprint(graph)),
+        algorithm=algorithm,
+        costs=canonical_hash(
+            costs_fingerprint(SchedulingCosts(graph, platform, model))
+        ),
+        simulator=canonical_hash(
+            ApplicationSimulator(platform, model).model_fingerprint()
+        ),
+        emulator=canonical_hash(emulator_fingerprint(emulator)),
+        schedule=canonical_hash(schedule_fingerprint(schedule)),
+    )
+    return {layer: canonical_hash(key) for layer, key in keys.items()}
+
+
+def _changed(**change) -> set[str]:
+    base, other = _cell_keys(), _cell_keys(**change)
+    assert base.keys() == other.keys() == {"schedule", "simulation", "testbed"}
+    return {layer for layer in base if base[layer] != other[layer]}
+
+
+class TestLayerKeys:
+    """Each input reaches exactly the keys that depend on it: fewer
+    would be a false hit, more a needless miss."""
+
+    def test_model_coefficient_changes_schedule_and_simulation(self):
+        bumped = dict(_TABLE)
+        bumped[("matmul", 2000, 4)] += 1e-9
+        assert _changed(table=bumped) == {"schedule", "simulation"}
+
+    def test_dag_edge_changes_every_key(self):
+        assert _changed(graph=_diamond(extra_edge=True)) == {
+            "schedule", "simulation", "testbed"
+        }
+
+    def test_emulator_seed_changes_only_the_testbed_key(self):
+        assert _changed(seed=1) == {"testbed"}
+
+    def test_algorithm_changes_only_the_schedule_key(self):
+        assert _changed(algorithm="mcpa") == {"schedule"}
+
+    def test_only_keys_with_all_inputs_are_built(self):
+        dag = canonical_hash(dag_fingerprint(_diamond()))
+        assert set(layer_keys(dag=dag, algorithm="hcpa", costs="c")) == {
+            "schedule"
+        }
+        assert set(layer_keys(dag=dag, simulator="s", schedule="x")) == {
+            "simulation"
+        }
+        assert layer_keys(dag=dag, simulator="s", emulator="e") == {}
 
 
 class TestRefusals:

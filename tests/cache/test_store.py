@@ -7,8 +7,12 @@ value transparently recomputed.
 
 from __future__ import annotations
 
+import errno
+import logging
+import os
 import pickle
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +27,23 @@ def root(tmp_path):
     return tmp_path / "cache"
 
 
-def _entry_file(store: CacheStore, namespace: str, key_hash: str):
-    return store._entry_path(namespace, key_hash)
+def _entry_file(store: CacheStore, namespace: str, key_hash: str) -> Path:
+    return Path(store._entry_path(namespace, key_hash))
 
 
-KEY = "ab" + "0" * 62  # hash-shaped: fans out into the "ab" subdirectory
+KEY = "ab" + "0" * 62  # hash-shaped
+
+
+def _fail_replace_in(root, monkeypatch):
+    """Make ``os.replace`` into ``root`` fail as a full disk does."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).startswith(str(root)):
+            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
 
 
 class TestRoundTrip:
@@ -44,17 +60,98 @@ class TestRoundTrip:
     def test_miss(self, root):
         assert CacheStore(root).get("schedule", KEY) == (False, None)
 
-    def test_lru_skips_disk(self, root):
+    def test_layout_is_flat_per_layer(self, root):
+        store = CacheStore(root)
+        nbytes = store.put("schedule", KEY, "value")
+        path = root / "schedule" / f"{KEY}.pkl"
+        assert _entry_file(store, "schedule", KEY) == path
+        assert path.stat().st_size == nbytes > 0
+        # Nothing but the published entry: no fan-out dir, no temp file.
+        assert sorted(root.rglob("*")) == [root / "schedule", path]
+
+    def test_layer_directory_is_created_once(self, root, monkeypatch):
+        calls = []
+        real_makedirs = os.makedirs
+
+        def makedirs(name, *args, **kwargs):
+            calls.append(Path(name))
+            return real_makedirs(name, *args, **kwargs)
+
+        monkeypatch.setattr(os, "makedirs", makedirs)
+        root.mkdir()
+        store = CacheStore(root)
+        for namespace in ("schedule", "simulation"):
+            for i in range(4):
+                store.put(namespace, f"{i:064x}", i)
+        assert calls == [root / "schedule", root / "simulation"]
+
+    def test_every_lookup_reads_the_disk(self, root):
+        # No in-memory tier: once the file is gone, so is the entry.
         store = CacheStore(root)
         store.put("schedule", KEY, "value")
-        shutil.rmtree(root)  # rip the disk out from under the store
-        assert store.get("schedule", KEY) == (True, "value")
-
-    def test_lru_can_be_disabled(self, root):
-        store = CacheStore(root, lru_entries=0)
-        store.put("schedule", KEY, "value")
+        assert store.contains("schedule", KEY)
         shutil.rmtree(root)
         assert store.get("schedule", KEY) == (False, None)
+        assert store.peek("schedule", KEY) == (False, None)
+        assert not store.contains("schedule", KEY)
+
+    def test_put_snapshots_the_value(self, root):
+        store = CacheStore(root)
+        value = {"makespan": 1.0}
+        store.put("schedule", KEY, value)
+        value["makespan"] = 2.0  # the caller mutates after the put
+        assert store.get("schedule", KEY) == (True, {"makespan": 1.0})
+
+
+class TestWriteFailures:
+    """A failed write is counted and skipped, never fatal."""
+
+    def _put_failing(self, store, caplog):
+        recorder = Recorder.to_memory()
+        with recording(recorder), caplog.at_level(
+            logging.WARNING, logger="repro.cache.store"
+        ):
+            written = [store.put("schedule", f"{i:064x}", i) for i in range(3)]
+        assert written == [0, 0, 0]
+        counters = recorder.metrics()["counters"]
+        assert counters["cache.write_errors"] == 3
+        assert "cache.bytes_written" not in counters
+        # One warning per store, naming the directory.
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert str(store.root) in warnings[0].getMessage()
+
+    def test_full_disk(self, root, monkeypatch, caplog):
+        _fail_replace_in(root, monkeypatch)
+        store = CacheStore(root)
+        self._put_failing(store, caplog)
+        # The temporary files were cleaned up, nothing was published.
+        assert list((root / "schedule").iterdir()) == []
+        assert store.get("schedule", f"{0:064x}") == (False, None)
+
+    @pytest.mark.skipif(
+        hasattr(os, "geteuid") and os.geteuid() == 0,
+        reason="permission bits do not bind the superuser",
+    )
+    def test_read_only_directory(self, root, caplog):
+        root.mkdir()
+        root.chmod(0o555)
+        try:
+            self._put_failing(CacheStore(root), caplog)
+        finally:
+            root.chmod(0o755)
+
+    def test_unusable_root(self, tmp_path, caplog):
+        # A regular file where the cache directory should be.
+        root = tmp_path / "cache"
+        root.write_bytes(b"not a directory")
+        self._put_failing(CacheStore(root), caplog)
+
+    def test_failed_write_falls_back_to_computing(self, root, monkeypatch):
+        _fail_replace_in(root, monkeypatch)
+        cache = ResultCache(root)
+        assert cache.get_or_compute("schedule", {"k": 1}, lambda: 41) == 41
+        assert cache.get_or_compute("schedule", {"k": 1}, lambda: 42) == 42
 
 
 class TestCorruptionAndSkew:
@@ -65,7 +162,7 @@ class TestCorruptionAndSkew:
         mutate(_entry_file(writer, "schedule", KEY))
 
         recorder = Recorder.to_memory()
-        reader = CacheStore(root)  # fresh store: no LRU shortcut
+        reader = CacheStore(root)
         with recording(recorder):
             found, value = reader.get("schedule", KEY)
         assert (found, value) == (False, None)
@@ -179,6 +276,43 @@ class TestMaintenance:
         assert not root.exists()
         assert store.info().entries == 0
 
-    def test_lru_entries_must_be_non_negative(self, root):
-        with pytest.raises(ValueError, match="lru_entries"):
-            CacheStore(root, lru_entries=-1)
+    def _legacy_entry(self, root):
+        """One entry in the older ``<layer>/<hash[:2]>/<hash>.pkl``
+        layout, even carrying the current schema."""
+        legacy = root / "schedule" / "cd" / ("cd" + "3" * 62 + ".pkl")
+        legacy.parent.mkdir(parents=True)
+        legacy.write_bytes(
+            pickle.dumps(
+                {
+                    "schema": CACHE_SCHEMA_VERSION,
+                    "namespace": "schedule",
+                    "key": legacy.stem,
+                    "value": "old layout",
+                }
+            )
+        )
+        return legacy
+
+    def test_legacy_layout_entries_are_stale(self, root):
+        store = self._populate(root)
+        legacy = self._legacy_entry(root)
+        info = store.info()
+        assert info.entries == 2
+        assert info.stale_entries == 2
+        assert store.get("schedule", legacy.stem) == (False, None)
+        assert legacy.exists()  # reads never reach the old layout
+
+    def test_prune_removes_legacy_layout_entries(self, root):
+        store = self._populate(root)
+        legacy = self._legacy_entry(root)
+        assert store.prune() == 3
+        assert not legacy.exists()
+        assert not legacy.parent.exists()  # the emptied fan-out dir
+        info = store.info()
+        assert info.entries == 2 and info.stale_entries == 0
+
+    def test_clear_counts_legacy_layout_entries(self, root):
+        store = self._populate(root)
+        self._legacy_entry(root)
+        assert store.clear() == 5
+        assert not root.exists()

@@ -8,10 +8,15 @@ under a worker pool — while the warm run does no recomputation.
 
 from __future__ import annotations
 
+import errno
+import logging
+import os
+
 import pytest
 
 from repro.cache import ResultCache, canonical_hash, schedule_fingerprint
 from repro.dag.generator import generate_paper_dags
+from repro.experiments import runner as runner_mod
 from repro.experiments.runner import run_study
 from repro.obs.recorder import Recorder, recording
 from repro.platform.personalities import bayreuth_cluster
@@ -33,6 +38,23 @@ def study_inputs():
     suite = build_analytical_suite(platform)
     dags = generate_paper_dags(seed=0)[:3]
     return dags, suite, emulator
+
+
+@pytest.fixture(scope="module")
+def twelve_dag_inputs():
+    """12 DAGs under two suites whose models differ, on the paper's
+    32-node cluster (a profile table covers exactly the nodes it was
+    calibrated on)."""
+    platform = bayreuth_cluster()
+    emulator = TGridEmulator(platform, seed=0)
+    suites = [
+        build_analytical_suite(platform),
+        build_profile_suite(
+            emulator, sizes=(2000, 3000), kernel_trials=1,
+            startup_trials=2, redistribution_trials=1,
+        ),
+    ]
+    return generate_paper_dags(seed=0)[:12], suites, emulator
 
 
 def _run(study_inputs, cache, workers=1):
@@ -191,6 +213,159 @@ class TestCalibrationLayer:
         assert counters["cache.calibration.misses"] == 1
         assert counters["cache.calibration.hits"] == 1
         assert warm.startup_model.fit == cold.startup_model.fit
+
+
+def _spy(monkeypatch, method, log):
+    """Record ``(layer, key hash)`` of every call to a ResultCache method."""
+    real = getattr(ResultCache, method)
+
+    def spy(self, layer, key, *args):
+        log.append((layer, canonical_hash(key)))
+        return real(self, layer, key, *args)
+
+    monkeypatch.setattr(ResultCache, method, spy)
+
+
+class TestDigestKeys:
+    def test_planner_keys_equal_the_cell_path_keys(
+        self, twelve_dag_inputs, tmp_path, monkeypatch
+    ):
+        dags, suites, emulator = twelve_dag_inputs
+        cache = ResultCache(tmp_path / "cache")
+        cell_path: list[tuple[str, str]] = []
+        _spy(monkeypatch, "get_or_compute", cell_path)
+        run_study(dags, suites, emulator, cache=cache)
+
+        planned: list[tuple[str, str]] = []
+        _spy(monkeypatch, "peek", planned)
+        _spy(monkeypatch, "contains", planned)
+        cells = [
+            (suite_idx, dag_idx, algorithm)
+            for suite_idx in range(len(suites))
+            for dag_idx in range(len(dags))
+            for algorithm in ("hcpa", "mcpa")
+        ]
+        hits = runner_mod._plan_cache_hits(
+            cells, runner_mod._StudyDigests(dags, suites, emulator), cache
+        )
+        assert hits == [True] * len(cells)
+        # Per cell, in grid order: the schedule, simulation and testbed
+        # keys — the same three keys, probed in the same order.
+        assert len(planned) == 3 * len(cells)
+        assert planned == cell_path
+
+    def test_study_cache_serves_standalone_calls(
+        self, twelve_dag_inputs, tmp_path
+    ):
+        # The `repro simulate` path: schedule_dag(cache=) and
+        # run_cached hash their inputs on the spot, and must find what
+        # a study wrote.
+        dags, suites, emulator = twelve_dag_inputs
+        platform = emulator.platform
+        cache = ResultCache(tmp_path / "cache")
+        study = run_study(dags, suites, emulator, cache=cache)
+        recorder = Recorder.to_memory()
+        with recording(recorder):
+            for suite in suites:
+                for _params, graph in dags:
+                    costs = SchedulingCosts(
+                        graph,
+                        platform,
+                        suite.task_model,
+                        startup_model=suite.startup_model,
+                        redistribution_model=suite.redistribution_model,
+                    )
+                    schedule = schedule_dag(graph, costs, "mcpa", cache=cache)
+                    simulator = ApplicationSimulator(
+                        platform,
+                        suite.task_model,
+                        startup_model=suite.startup_model,
+                        redistribution_model=suite.redistribution_model,
+                    )
+                    trace = simulator.run_cached(graph, schedule, cache)
+                    record = study.record(graph.name, "mcpa", suite.name)
+                    assert trace.makespan == record.sim_makespan
+        counters = recorder.metrics()["counters"]
+        pairs = len(suites) * len(dags)
+        assert counters["cache.schedule.hits"] == pairs
+        assert counters["cache.simulation.hits"] == pairs
+        assert "cache.misses" not in counters
+
+    def test_warm_pooled_study_replays_without_a_pool(
+        self, twelve_dag_inputs, tmp_path, monkeypatch
+    ):
+        dags, suites, emulator = twelve_dag_inputs
+        baseline = run_study(dags, suites, emulator)
+        cache = ResultCache(tmp_path / "cache")
+        cold = run_study(dags, suites, emulator, workers=2, cache=cache)
+
+        def _no_pool(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("warm study constructed a process pool")
+
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", _no_pool)
+        recorder = Recorder.to_memory()
+        with recording(recorder):
+            warm = run_study(dags, suites, emulator, workers=2, cache=cache)
+        assert cold.records == baseline.records
+        assert warm.records == baseline.records
+        counters = recorder.metrics()["counters"]
+        assert counters["cache.hits"] == 3 * len(baseline.records)
+        assert "cache.misses" not in counters
+
+
+def _fail_replace_in(root, monkeypatch):
+    """Make ``os.replace`` into ``root`` fail as a full disk does; forked
+    pool workers inherit the patch."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).startswith(str(root)):
+            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def _read_only(root, monkeypatch):
+    if hasattr(os, "geteuid") and os.geteuid() == 0:
+        pytest.skip("permission bits do not bind the superuser")
+    root.mkdir()
+    root.chmod(0o555)
+
+
+class TestCacheWriteFailures:
+    """A cache that cannot be written degrades to no cache at all."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "break_cache", [_fail_replace_in, _read_only],
+        ids=["full_disk", "read_only"],
+    )
+    def test_study_completes_with_uncached_records(
+        self, study_inputs, tmp_path, monkeypatch, caplog, workers,
+        break_cache,
+    ):
+        baseline, _ = _run(study_inputs, cache=None)
+        root = tmp_path / "cache"
+        break_cache(root, monkeypatch)
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.cache.store"):
+                study, counters = _run(
+                    study_inputs, cache=ResultCache(root), workers=workers
+                )
+        finally:
+            if root.is_dir():
+                root.chmod(0o755)
+        assert study.records == baseline.records
+        # Every cell's three entries failed to persist, and were counted
+        # (in pool workers too).
+        assert counters["cache.write_errors"] == 3 * len(baseline.records)
+        assert counters["cache.misses"] == 3 * len(baseline.records)
+        assert "cache.bytes_written" not in counters
+        if workers == 1:
+            # Pool workers log from their own processes.
+            messages = [r.getMessage() for r in caplog.records]
+            assert len(messages) == 1 and str(root) in messages[0]
 
 
 class TestCellErrors:
