@@ -28,16 +28,19 @@ class TestHeadlineSignFlips:
         assert c.num_dags == 27
         # Paper: 16/27.  Shape requirement: a large fraction wrong.
         assert c.num_wrong >= 8
+        assert c.num_wrong == 13  # exact seed-0 count (EXPERIMENTS.md)
 
     def test_analytic_simulator_wrong_at_3000(self, ctx):
         c = figures.figure1(ctx, n=3000)
         # Paper: 7/27 (26 %).
         assert 3 <= c.num_wrong <= 12
+        assert c.num_wrong == 7  # exact seed-0 count
 
     def test_profile_simulator_reliable(self, ctx):
         for n in (2000, 3000):
             c = figures.figure5(ctx, n=n)
             assert c.num_wrong <= 3  # paper: 2 and 3
+            assert c.num_wrong == 1  # exact seed-0 count, both n
 
     def test_empirical_simulator_between(self, ctx):
         c2000 = figures.figure7(ctx, n=2000)
@@ -46,6 +49,8 @@ class TestHeadlineSignFlips:
         # The p=8/p=16 outliers make n=3000 harder for the regression
         # model (paper: 6/27, twice the profile simulator's errors).
         assert 3 <= c3000.num_wrong <= 9
+        # Exact seed-0 counts.
+        assert (c2000.num_wrong, c3000.num_wrong) == (5, 6)
 
     def test_refined_simulators_beat_analytical(self, ctx):
         analytic = (
