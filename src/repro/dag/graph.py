@@ -5,18 +5,14 @@ A :class:`TaskGraph` is a DAG whose nodes are moldable
 producer's output matrix is an input of the consumer and must be
 redistributed if the two tasks run on different processor sets.
 
-The structure is deliberately small and explicit (adjacency dicts plus
-invariant checks) rather than a thin wrapper over networkx; a
-``to_networkx`` converter is provided for interoperability and is used by
-some analysis helpers.
+The structure is deliberately small and explicit: adjacency dicts plus
+invariant checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Mapping
-
-import networkx as nx
 
 from repro.dag.kernels import KERNELS, Kernel, matrix_bytes
 from repro.util.errors import InvalidDAGError
@@ -220,14 +216,6 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # conversion / serialisation
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
-        """Convert to a :class:`networkx.DiGraph` with task attributes."""
-        g = nx.DiGraph(name=self.name)
-        for task in self:
-            g.add_node(task.task_id, kernel=task.kernel.name, n=task.n)
-        g.add_edges_from(self.edges())
-        return g
-
     def to_dict(self) -> dict:
         """Plain-dict form, suitable for JSON round-trips."""
         return {

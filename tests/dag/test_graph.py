@@ -126,12 +126,6 @@ class TestSerialisation:
                 {"tasks": [{"task_id": 0, "kernel": "fft", "n": 10}], "edges": []}
             )
 
-    def test_to_networkx(self, diamond_dag):
-        g = diamond_dag.to_networkx()
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == 4
-        assert g.nodes[0]["kernel"] == "matmul"
-
 
 @st.composite
 def random_dags(draw):
