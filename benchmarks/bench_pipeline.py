@@ -9,8 +9,7 @@ array scheduler backends, a study-throughput quartet (the cold study
 through the chunked executor at 1/2/4 workers plus per-cell dispatch
 at 4 workers), a timeline-tracing on/off overhead pair, a
 live-telemetry on/off overhead pair (the two-worker study with the
-streaming progress bus detached vs attached), and
-a scalar-vs-vectorized max-min solver micro-benchmark, and writes the
+streaming progress bus detached vs attached), and writes the
 aggregate to ``BENCH_pipeline.json`` at the repository root.  This
 seeds the benchmark trajectory every future performance PR measures
 against.
@@ -31,14 +30,9 @@ Flags::
                         (object | array; default honors REPRO_ENGINE)
     --sched NAME        scheduler backend for the study stages
                         (object | array; default honors REPRO_SCHED)
-    --assert-solver     exit 1 if the vectorized solver is slower than
-                        the scalar kernel on the dense instance, or
-                        slower on the sparse instance when the measured
-                        crossover says it should win there
     --assert-sched      exit 1 if the object and array scheduler
                         backends diverge on any allocation, event,
                         counter, timeline line or profile structure
-                        under forced kernel dispatch
     --assert-chunk      exit 1 if the chunked study executor diverges
                         from the serial loop on any record, event,
                         counter, timeline line or profile structure
@@ -49,10 +43,7 @@ Flags::
                         line or profile structure (serial and 4-worker
                         sweeps), or the bus loses cell events
 
-Every payload also carries a ``crossovers`` section: the measured
-scalar/vectorized crossover of the solver, step-scan, critical-path-DP
-and allocation-grow kernel pairs (see ``repro profile --what wall``
-and docs/performance.md).  Rolling per-machine regression tracking
+Rolling per-machine regression tracking
 lives in ``repro bench --check``
 (:mod:`repro.experiments.bench_history`), not here.
 """
@@ -80,7 +71,6 @@ from repro.experiments.bench import (  # noqa: E402
     render_comparison,
     run_pipeline_bench,
     sched_speedup,
-    solver_speedup,
     study_cells_per_sec,
     study_throughput_speedup,
 )
@@ -104,8 +94,6 @@ def test_bench_pipeline():
         "study_throughput_w4", "study_throughput_w4_percell",
         "cached_rerun", "obs_overhead_off", "obs_overhead_on",
         "obs_live_overhead_off", "obs_live_overhead_on",
-        "solver_dense_scalar", "solver_dense_vectorized",
-        "solver_sparse_scalar", "solver_sparse_vectorized",
     }
     for stage in payload["stages"].values():
         assert stage["seconds"] >= 0.0
@@ -132,8 +120,6 @@ def test_bench_pipeline():
     for name in ("obs_live_overhead_off", "obs_live_overhead_on"):
         assert payload["stages"][name]["engine"] == "object"
         assert payload["stages"][name]["sched"] == "object"
-    assert solver_speedup(payload) is not None
-    assert solver_speedup(payload, "sparse") is not None
     assert sched_speedup(payload) is not None
     assert study_throughput_speedup(payload) is not None
     assert study_cells_per_sec(payload) is not None
@@ -147,14 +133,6 @@ def test_bench_pipeline():
     host = payload["host"]
     assert host["cpus"] >= 1
     assert host["platform"] and host["python"]
-    # The measured-crossover section covers every kernel pair and
-    # yields a usable dispatch threshold for each.
-    assert set(payload["crossovers"]) == {
-        "solver", "step_scan", "critical_path_dp", "alloc_grow",
-    }
-    for pair in payload["crossovers"].values():
-        assert pair["unit"] in ("entries", "actions", "tasks", "candidates")
-        assert pair["threshold"] >= 0
 
 
 def _print_stages(payload: dict) -> None:
@@ -176,13 +154,6 @@ def _print_stages(payload: dict) -> None:
         print(
             f"  live telemetry overhead: {live_ratio:.2f}x vs disabled"
         )
-    for instance in ("dense", "sparse"):
-        ratio = solver_speedup(payload, instance)
-        if ratio is not None:
-            print(
-                f"  vectorized solver ({instance}): "
-                f"{ratio:.2f}x vs scalar kernel"
-            )
     sched_ratio = sched_speedup(payload)
     if sched_ratio is not None:
         print(
@@ -195,17 +166,6 @@ def _print_stages(payload: dict) -> None:
         print(
             f"  study throughput: {throughput:.1f} cells/s chunked at 4 "
             f"workers ({chunk_ratio:.2f}x vs per-cell dispatch)"
-        )
-    for pair, info in payload.get("crossovers", {}).items():
-        cross = info.get("crossover")
-        where = (
-            f"vectorized wins from ~{cross} {info['unit']}"
-            if cross is not None
-            else f"scalar wins at every measured size ({info['unit']})"
-        )
-        print(
-            f"  {pair} crossover: {where} "
-            f"(dispatch threshold {info['threshold']})"
         )
 
 
@@ -239,16 +199,9 @@ def main(argv: list[str] | None = None) -> int:
         "(default honors REPRO_SCHED)",
     )
     parser.add_argument(
-        "--assert-solver",
-        action="store_true",
-        help="exit 1 if the vectorized solver is slower than the "
-        "scalar kernel on the dense instance",
-    )
-    parser.add_argument(
         "--assert-sched",
         action="store_true",
-        help="exit 1 if the scheduler backends diverge under forced "
-        "kernel dispatch",
+        help="exit 1 if the scheduler backends diverge",
     )
     parser.add_argument(
         "--assert-chunk",
@@ -313,56 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    def check_solver() -> int:
-        if not args.assert_solver:
-            return 0
-        ratio = solver_speedup(payload, "dense")
-        if ratio is None or ratio < 1.0:
-            print(
-                "solver assertion FAILED: vectorized kernel is "
-                f"{'missing' if ratio is None else f'{ratio:.2f}x'} "
-                "vs scalar on the dense instance",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"solver assertion passed: vectorized {ratio:.2f}x vs scalar")
-        # Sparse instance: only assert where the measured crossover says
-        # the vectorized kernel should win.  The sparse bench instance
-        # is 192 entries; when the measured crossover lies above it (or
-        # does not exist — today's honest state, see docs/performance.md)
-        # the adaptive dispatch keeps the instance scalar and the slower
-        # vectorized time is expected, not a regression.
-        sparse_ratio = solver_speedup(payload, "sparse")
-        info = payload.get("crossovers", {}).get("solver", {})
-        cross = info.get("crossover")
-        sparse_entries = 48 * 4  # _SOLVER_SPARSE actions x entries
-        if cross is not None and sparse_entries >= cross:
-            if sparse_ratio is None or sparse_ratio < 1.0:
-                print(
-                    "solver assertion FAILED: measured crossover is "
-                    f"{cross} entries but the vectorized kernel is "
-                    f"{'missing' if sparse_ratio is None else f'{sparse_ratio:.2f}x'} "
-                    f"vs scalar on the {sparse_entries}-entry sparse "
-                    "instance",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                "solver assertion passed: vectorized "
-                f"{sparse_ratio:.2f}x vs scalar on the sparse instance "
-                f"(crossover {cross} entries)"
-            )
-        else:
-            print(
-                "solver sparse note: vectorized "
-                f"{sparse_ratio:.2f}x vs scalar at {sparse_entries} "
-                "entries; measured crossover "
-                f"{'absent' if cross is None else cross} — dispatch "
-                f"keeps the instance scalar (threshold "
-                f"{info.get('threshold')})"
-            )
-        return 0
-
     if args.compare:
         try:
             baseline = json.loads(OUTPUT.read_text(encoding="utf-8"))
@@ -385,14 +288,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {OUTPUT}")
         if any(c.regressed for c in comparisons):
             return 1
-        return (
-            check_solver() or check_sched() or check_chunk() or check_live()
-        )
+        return check_sched() or check_chunk() or check_live()
 
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {OUTPUT}")
     _print_stages(payload)
-    return check_solver() or check_sched() or check_chunk() or check_live()
+    return check_sched() or check_chunk() or check_live()
 
 
 if __name__ == "__main__":

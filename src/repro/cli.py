@@ -16,10 +16,8 @@ Commands
     Print the raw measurement tables (kernels / startup /
     redistribution) of the emulated environment, or — with
     ``--what wall`` — profile a mini-study's wall-clock time
-    (hierarchical span tree, per-kernel cost table, measured
-    scalar/vectorized crossovers; ``--flame``/``--chrome`` export
-    flamegraph artifacts, ``--save-table`` persists the crossover
-    table for ``REPRO_DISPATCH_TABLE``).
+    (hierarchical span tree and per-kernel cost table by input size;
+    ``--flame``/``--chrome`` export flamegraph artifacts).
 ``report``
     Summarise a JSONL trace produced with ``--trace-out`` (counters,
     span timings, per-algorithm makespans); ``--json`` emits the same
@@ -141,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("object", "array"),
         default=None,
-        help="simulation engine backend: the scalar object oracle "
-        "(default) or the vectorized array core; results are "
+        help="simulation engine backend: the object oracle "
+        "(default) or the flat-array core; results are "
         "bit-identical (REPRO_ENGINE sets the default)",
     )
     parser.add_argument(
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="kernels",
         help="kernels/startup/redistribution: emulated-environment "
         "measurement tables; wall: profile a mini-study's wall-clock "
-        "time and measure the scalar/vectorized kernel crossovers",
+        "time and its kernel cost per input size",
     )
     p_prof.add_argument("--trials", type=int, default=3)
     p_prof.add_argument(
@@ -292,12 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chrome", default="", metavar="PATH",
         help="(--what wall) write the wall-clock profile as Chrome "
         "trace-event JSON (Perfetto-loadable)",
-    )
-    p_prof.add_argument(
-        "--save-table", default="", metavar="PATH",
-        help="(--what wall) persist the measured crossover table as "
-        "JSON; point REPRO_DISPATCH_TABLE at it to drive the adaptive "
-        "dispatch of both the array engine and the array scheduler",
     )
 
     p_var = sub.add_parser(
@@ -596,22 +588,15 @@ def _cmd_simulate(ctx: StudyContext, args: argparse.Namespace) -> int:
 
 
 def _profile_wall(ctx: StudyContext, args: argparse.Namespace) -> int:
-    """Profile a mini-study's wall-clock time and measure crossovers.
+    """Profile a mini-study's wall-clock time.
 
     Runs the first ``--dags`` Table I DAGs through the full pipeline
-    (schedule, simulate, execute) with a :class:`Profiler` attached,
-    prints the hierarchical span tree and per-kernel cost table, then
-    runs the controlled :meth:`CrossoverTable.measure` calibration and
-    prints the measured scalar-vs-vectorized crossover for both kernel
-    pairs (solver and step scan).
+    (schedule, simulate, execute) with a :class:`Profiler` attached and
+    prints the hierarchical span tree and the per-kernel cost table by
+    input size.
     """
     from repro.experiments.runner import run_study
-    from repro.obs import (
-        CrossoverTable,
-        chrome_profile_trace,
-        collapsed_stacks,
-        recording,
-    )
+    from repro.obs import chrome_profile_trace, collapsed_stacks, recording
 
     profiler = Profiler()
     dags = ctx.dags[: args.dags]
@@ -642,17 +627,6 @@ def _profile_wall(ctx: StudyContext, args: argparse.Namespace) -> int:
             encoding="utf-8",
         )
         print(f"wrote {args.chrome}")
-
-    print()
-    print("measuring scalar/vectorized crossovers (controlled sweep) ...")
-    table = CrossoverTable.measure()
-    print(table.render())
-    if args.save_table:
-        table.save(args.save_table)
-        print(
-            f"wrote {args.save_table} "
-            f"(export REPRO_DISPATCH_TABLE={args.save_table} to use it)"
-        )
     return 0
 
 
@@ -915,13 +889,6 @@ def _cmd_bench(ctx: StudyContext, args: argparse.Namespace) -> int:
     live_ratio = bench_mod.live_overhead(payload)
     if live_ratio is not None:
         print(f"  live telemetry overhead: {live_ratio:.2f}x vs disabled")
-    for instance in ("dense", "sparse"):
-        ratio = bench_mod.solver_speedup(payload, instance)
-        if ratio is not None:
-            print(
-                f"  vectorized solver ({instance}): "
-                f"{ratio:.2f}x vs scalar kernel"
-            )
     sched_ratio = bench_mod.sched_speedup(payload)
     if sched_ratio is not None:
         print(
@@ -934,17 +901,6 @@ def _cmd_bench(ctx: StudyContext, args: argparse.Namespace) -> int:
         print(
             f"  study throughput: {throughput:.1f} cells/s chunked at 4 "
             f"workers ({chunk_ratio:.2f}x vs per-cell dispatch)"
-        )
-    for pair, info in payload.get("crossovers", {}).items():
-        cross = info.get("crossover")
-        where = (
-            f"vectorized wins from ~{cross} {info['unit']}"
-            if cross is not None
-            else f"scalar wins at every measured size ({info['unit']})"
-        )
-        print(
-            f"  {pair} crossover: {where} "
-            f"(dispatch threshold {info['threshold']})"
         )
     baseline_path = (
         Path(args.baseline) if args.baseline

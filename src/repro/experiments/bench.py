@@ -18,9 +18,7 @@ live progress bus of :mod:`repro.obs.live` detached vs attached —
 through the chunked executor at one, two and four workers plus
 per-cell dispatch at four workers — :func:`study_throughput_speedup`
 is the chunked-vs-per-cell ratio, :func:`assert_chunk_identity` the
-``--assert-chunk`` bit-identity sweep), and a max-min solver
-micro-benchmark (scalar vs vectorized
-kernel on synthetic dense/sparse instances), using the observability
+``--assert-chunk`` bit-identity sweep), using the observability
 layer's span timers, and compares the result against the committed
 baseline (``BENCH_pipeline.json`` at the repository root).  Each stage
 that runs a simulation engine records which backend produced it in the
@@ -34,7 +32,7 @@ observability disabled so the pair isolates pure scheduler throughput
 (emission cost is the obs-overhead pair's job).  Their ratio is
 :func:`sched_speedup`; allocations are asserted equal, and
 :func:`assert_sched_identity` (the ``--assert-sched`` flag) sweeps
-the forced-dispatch bit-identity check across backends.
+the bit-identity check across backends on every observable facet.
 
 Noise handling: wall-clock benchmarks on shared machines jitter by tens
 of percent, so ``repeat`` runs the whole measurement several times and
@@ -49,14 +47,11 @@ from __future__ import annotations
 import json
 import os
 import platform as py_platform
-import random
 import shutil
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from repro import __version__
 from repro.cache import ResultCache
@@ -71,7 +66,6 @@ from repro.scheduling.costs import SchedulingCosts
 from repro.scheduling.driver import ALGORITHMS as _OBJECT_ALLOCATORS
 from repro.scheduling.driver import schedule_dag
 from repro.simgrid.arena import resolve_engine
-from repro.simgrid.sharing import _maxmin_dense, _maxmin_flat
 from repro.simgrid.simulator import ApplicationSimulator
 from repro.testbed.tgrid import TGridEmulator
 
@@ -87,7 +81,6 @@ __all__ = [
     "default_baseline_path",
     "host_metadata",
     "live_overhead",
-    "measured_crossovers",
     "obs_overhead",
     "render_comparison",
     "run_pipeline_bench",
@@ -121,36 +114,7 @@ _STAGE_NAMES = (
     "pipeline.obs_overhead_on",
     "pipeline.obs_live_overhead_off",
     "pipeline.obs_live_overhead_on",
-    "pipeline.solver_dense_scalar",
-    "pipeline.solver_dense_vectorized",
-    "pipeline.solver_sparse_scalar",
-    "pipeline.solver_sparse_vectorized",
 )
-
-#: Solver micro-benchmark shape: one dense instance (every action
-#: touches many of the resources — the regime the vectorized kernel is
-#: built for) and one sparse instance (few entries per action — the
-#: regime the engine's adaptive dispatch keeps on the scalar kernel).
-_SOLVER_DENSE = (48, 48, 193)  # (actions, entries per action, resources)
-_SOLVER_SPARSE = (48, 4, 193)
-_SOLVER_ITERS = 40
-
-
-def _solver_instance(
-    actions: int, entries: int, resources: int
-) -> tuple[list, list, list, list]:
-    """Deterministic synthetic CSR instance for the solver bench."""
-    rng = random.Random(20260806)
-    counts: list[int] = []
-    e_rid: list[int] = []
-    e_w: list[float] = []
-    for _ in range(actions):
-        counts.append(entries)
-        e_rid.extend(rng.sample(range(resources), entries))
-        e_w.extend(rng.uniform(0.5, 2.0) for _ in range(entries))
-    caps = [rng.uniform(1.0, 8.0) for _ in range(resources)]
-    return counts, e_rid, e_w, caps
-
 
 def default_baseline_path() -> Path:
     """The committed baseline at the repository root (checkout layout)."""
@@ -420,35 +384,6 @@ def _measure(
                 "live-telemetry study diverged from the detached study"
             )
 
-        # Solver micro-benchmark: the scalar and vectorized max-min
-        # kernels on identical synthetic instances.  Results are
-        # asserted equal, so the stages time the same computation.
-        for label, shape in (
-            ("dense", _SOLVER_DENSE),
-            ("sparse", _SOLVER_SPARSE),
-        ):
-            counts, e_rid, e_w, caps = _solver_instance(*shape)
-            np_args = (
-                np.asarray(counts, dtype=np.intp),
-                np.asarray(e_rid, dtype=np.intp),
-                np.asarray(e_w, dtype=float),
-                np.asarray(caps, dtype=float),
-            )
-            # Warm-up pass, outside the timed spans, doubling as the
-            # bit-identity check between the two kernels.
-            scalar_rates = _maxmin_flat(counts, e_rid, e_w, caps)
-            vector_rates = _maxmin_dense(*np_args)
-            if scalar_rates != vector_rates.tolist():  # pragma: no cover
-                raise RuntimeError(
-                    f"solver kernels diverged on the {label} instance"
-                )
-            with recorder.span(f"pipeline.solver_{label}_scalar"):
-                for _ in range(_SOLVER_ITERS):
-                    _maxmin_flat(counts, e_rid, e_w, caps)
-            with recorder.span(f"pipeline.solver_{label}_vectorized"):
-                for _ in range(_SOLVER_ITERS):
-                    _maxmin_dense(*np_args)
-
     metrics = recorder.metrics()
     num_cells = len(dags) * len(ALGORITHMS)
     units = {
@@ -469,10 +404,6 @@ def _measure(
         "pipeline.obs_overhead_on": num_cells,
         "pipeline.obs_live_overhead_off": num_cells,
         "pipeline.obs_live_overhead_on": num_cells,
-        "pipeline.solver_dense_scalar": _SOLVER_ITERS,
-        "pipeline.solver_dense_vectorized": _SOLVER_ITERS,
-        "pipeline.solver_sparse_scalar": _SOLVER_ITERS,
-        "pipeline.solver_sparse_vectorized": _SOLVER_ITERS,
     }
     seconds = {
         name: metrics["spans"][name]["total_s"] for name in _STAGE_NAMES
@@ -536,38 +467,6 @@ def _stage_sched(name: str, sched: str) -> str | None:
     ):
         return sched
     return None
-
-
-def measured_crossovers() -> dict:
-    """Measured scalar/vectorized crossovers per kernel pair.
-
-    Runs :meth:`~repro.obs.prof.CrossoverTable.measure` (a controlled
-    calibration: both kernels of every pair on identical instances
-    over a size grid) and reduces it to the crossover point and the
-    dispatch threshold it implies — the data the recalibration
-    satellite of the dispatch thresholds in
-    :mod:`repro.simgrid.arena` and :mod:`repro.scheduling.arena`
-    reads, and the ``crossovers`` section of the bench payload.
-    """
-    from repro.obs.prof import PAIRS, CrossoverTable
-    from repro.scheduling import arena as sched_arena
-    from repro.simgrid import arena
-
-    table = CrossoverTable.measure()
-    defaults = {
-        "step_scan": arena._SMALL_QUEUE,
-        "solver": arena._SMALL_SOLVE,
-        "critical_path_dp": sched_arena._SMALL_DP,
-        "alloc_grow": sched_arena._SMALL_GROW,
-    }
-    return {
-        pair: {
-            "unit": spec["unit"],
-            "crossover": table.crossover(pair),
-            "threshold": table.threshold(pair, defaults[pair]),
-        }
-        for pair, spec in sorted(PAIRS.items())
-    }
 
 
 def host_metadata() -> dict:
@@ -647,7 +546,6 @@ def run_pipeline_bench(
         },
         "stages": stages,
         "counters": counters,
-        "crossovers": measured_crossovers(),
     }
 
 
@@ -694,21 +592,6 @@ def live_overhead(payload: dict) -> float | None:
     if not off or not on:
         return None
     return on / off
-
-
-def solver_speedup(payload: dict, instance: str = "dense") -> float | None:
-    """Scalar-vs-vectorized solver ratio (None if stages are absent).
-
-    ``solver_<instance>_scalar / solver_<instance>_vectorized`` — how
-    many times faster the vectorized max-min kernel is than the scalar
-    transliteration on the synthetic instance (> 1 means faster).
-    """
-    stages = payload.get("stages", {})
-    scalar = stages.get(f"solver_{instance}_scalar", {}).get("seconds")
-    vector = stages.get(f"solver_{instance}_vectorized", {}).get("seconds")
-    if not scalar or not vector:
-        return None
-    return scalar / vector
 
 
 def sched_speedup(payload: dict) -> float | None:
@@ -761,19 +644,13 @@ def assert_sched_identity(num_dags: int = NUM_DAGS) -> int:
     """Bit-identity sweep between the scheduler backends.
 
     Runs every CPA-family algorithm over the bench's DAG subset on
-    both backends with the array core's internal dispatch forced both
-    ways (all-scalar kernels, then all-incremental/vectorized), and
-    compares allocations, observability events, counters, timeline
-    lines and profiler structure case by case.  Raises
+    both backends and compares allocations, observability events,
+    counters, timeline lines and profiler structure case by case.  Raises
     :class:`RuntimeError` on the first divergence; returns the number
     of cases compared.  Backs the ``--assert-sched`` bench flag.
     """
-    import os
-
     from repro.obs import MemorySink, Profiler
     from repro.obs.timeline import timeline_lines
-    from repro.scheduling import arena as sched_arena
-    from repro.simgrid.arena import DISPATCH_ENV_VAR
 
     platform = bayreuth_cluster(32)
     suite = build_analytical_suite(platform)
@@ -804,38 +681,23 @@ def assert_sched_identity(num_dags: int = NUM_DAGS) -> int:
             rec.profiler.structure(),
         )
 
-    saved = (sched_arena._SMALL_DP, sched_arena._SMALL_GROW)
-    saved_table = os.environ.pop(DISPATCH_ENV_VAR, None)
     checked = 0
-    try:
-        # Force the array core's kernel dispatch all-scalar, then
-        # all-incremental/vectorized, so both code paths are exercised
-        # regardless of this host's measured thresholds.
-        for forced in ((10**9, 10**9), (-1, -1)):
-            sched_arena._SMALL_DP, sched_arena._SMALL_GROW = forced
-            sched_arena._SCHED_DISPATCH_CACHE.clear()
-            for _params, graph in dags:
-                for algorithm in algorithms:
-                    obj = _run(
-                        lambda g, c: _OBJECT_ALLOCATORS[algorithm](
-                            g, c, sched="object"
-                        ),
-                        graph,
+    for _params, graph in dags:
+        for algorithm in algorithms:
+            obj = _run(
+                lambda g, c: _OBJECT_ALLOCATORS[algorithm](
+                    g, c, sched="object"
+                ),
+                graph,
+            )
+            arr = _run(ARRAY_ALLOCATORS[algorithm], graph)
+            for facet, x, y in zip(facets, obj, arr):
+                if x != y:
+                    raise RuntimeError(
+                        f"scheduler backends diverged on {facet} "
+                        f"(dag={graph.name}, algorithm={algorithm})"
                     )
-                    arr = _run(ARRAY_ALLOCATORS[algorithm], graph)
-                    for facet, x, y in zip(facets, obj, arr):
-                        if x != y:
-                            raise RuntimeError(
-                                f"scheduler backends diverged on {facet} "
-                                f"(dag={graph.name}, algorithm={algorithm}, "
-                                f"forced dispatch={forced})"
-                            )
-                    checked += 1
-    finally:
-        sched_arena._SMALL_DP, sched_arena._SMALL_GROW = saved
-        sched_arena._SCHED_DISPATCH_CACHE.clear()
-        if saved_table is not None:
-            os.environ[DISPATCH_ENV_VAR] = saved_table
+            checked += 1
     return checked
 
 

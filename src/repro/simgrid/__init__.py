@@ -19,9 +19,9 @@ This package re-implements the parts of SimGrid the paper relies on:
   application according to a schedule and a pluggable task-time model,
   producing a trace and a makespan;
 * an **array-backed engine backend** (:mod:`repro.simgrid.arena`):
-  the same semantics over flat CSR consumption storage and adaptive
-  scalar/vectorized kernels, bit-identical to the object engine and
-  selected per run via ``engine="array"`` or ``REPRO_ENGINE=array``.
+  the same semantics over flat CSR consumption storage and scalar
+  kernels, bit-identical to the object engine and selected per run via
+  ``engine="array"`` or ``REPRO_ENGINE=array``.
 """
 
 from repro.simgrid.arena import (
@@ -33,7 +33,7 @@ from repro.simgrid.arena import (
 )
 from repro.simgrid.engine import Action, SimulationEngine
 from repro.simgrid.resources import Resource, NetworkTopology
-from repro.simgrid.sharing import solve_rates, solve_rates_vectorized
+from repro.simgrid.sharing import solve_rates
 from repro.simgrid.ptask import ParallelTaskSpec, build_ptask_action
 from repro.simgrid.simulator import ApplicationSimulator, SimulationTrace, TaskRecord
 
@@ -48,7 +48,6 @@ __all__ = [
     "layout_for",
     "resolve_engine",
     "solve_rates",
-    "solve_rates_vectorized",
     "ParallelTaskSpec",
     "build_ptask_action",
     "ApplicationSimulator",

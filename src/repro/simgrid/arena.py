@@ -16,17 +16,16 @@ simulation state lives in flat storage:
   (cpu ``h`` -> ``h``, uplink ``h`` -> ``N + h``, downlink ``h`` ->
   ``2N + h``, backbone -> ``3N``).
 
-The step loop and the sharing solve are *adaptive*: below a size
-threshold they run scalar kernels over the flat stores (a handful of
-actions is far below numpy's fixed per-op overhead), and above it they
-switch to the vectorized forms — a numpy time-to-next-event scan and
-remaining-work advance over the gathered slot arrays, and
-:func:`repro.simgrid.sharing._maxmin_dense` over the gathered CSR rows.
-Both forms of every kernel mirror the object engine's scalar code
-exactly (same operations, same order, same clamps), so traces,
-makespans and ``engine.*`` observability counters are bit-identical
-across backends and across threshold settings — asserted by the
-equivalence suites in ``tests/simgrid/test_array_engine.py`` and
+The step scan and the sharing solve
+(:func:`repro.simgrid.sharing._maxmin_flat`) are scalar kernels over
+the flat stores: the shipped experiments never hold more than a few
+dozen alive actions or a few hundred consumption entries, sizes at
+which an interpreter loop beats numpy's fixed per-call cost (see the
+kernel size table in ``docs/performance.md``).  Both mirror the object
+engine's scalar code exactly (same operations, same order, same
+clamps), so traces, makespans and ``engine.*`` observability counters
+are bit-identical across backends — asserted by the equivalence suites
+in ``tests/simgrid/test_array_engine.py`` and
 ``tests/experiments/test_engine_backends.py``.
 
 :class:`ActionArena` owns the growable buffers and is reusable: one
@@ -49,17 +48,15 @@ from repro.obs.recorder import get_recorder
 from repro.platform.cluster import ClusterPlatform
 from repro.simgrid.engine import _EPS, _REL_EPS
 from repro.simgrid.sharing import _EPS as _LOAD_EPS
-from repro.simgrid.sharing import _maxmin_dense, _maxmin_flat
+from repro.simgrid.sharing import _maxmin_flat
 from repro.util.errors import SimulationError
 
 __all__ = [
-    "DISPATCH_ENV_VAR",
     "ENGINE_BACKENDS",
     "ActionArena",
     "ArrayAction",
     "ArraySimulationEngine",
     "ResourceLayout",
-    "dispatch_thresholds",
     "layout_for",
     "resolve_engine",
 ]
@@ -68,88 +65,7 @@ __all__ = [
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 ENGINE_BACKENDS = ("object", "array")
 
-#: Environment variable naming a measured
-#: :class:`~repro.obs.prof.CrossoverTable` JSON file; when set, its
-#: crossovers replace the static dispatch thresholds below (generate
-#: one with ``repro profile --what wall --save-table PATH``).
-DISPATCH_ENV_VAR = "REPRO_DISPATCH_TABLE"
-
 _NO_ENTRIES: tuple = ()
-
-#: Queue size up to which the scalar step scan is used; larger queues
-#: take the vectorized scan.  Both scans are bit-identical, so the
-#: threshold is purely a speed knob.  The default is
-#: ``CrossoverTable.measure()``'s threshold on the reference machine
-#: (vectorized scan wins from ~64 actions; see docs/performance.md);
-#: a ``REPRO_DISPATCH_TABLE`` file recalibrates it per host.
-_SMALL_QUEUE = 32
-#: Working-set entry total up to which the flat scalar max-min kernel
-#: is used; larger instances take :func:`_maxmin_dense`.  Same
-#: provenance and override path as ``_SMALL_QUEUE``; the measured
-#: sparse-regime tables show the scalar kernel winning at every size
-#: up to 512 entries (the vectorized kernel's fixed per-round cost —
-#: the regression PR 7's vectorization work targets), so the default
-#: sits at the top of the measured range.
-_SMALL_SOLVE = 512
-
-#: Parsed tables per (path, mtime): one stat call per lookup instead of
-#: a full re-read/re-parse, while still picking up a recalibrated table
-#: written over the same path.  Shared with the scheduling arena's
-#: :func:`repro.scheduling.arena.sched_dispatch_thresholds`, so one
-#: table file feeds every dispatch consumer from a single parse.
-_TABLE_CACHE: dict[str, tuple[float | None, object]] = {}
-
-#: Derived thresholds per (path, mtime, consumer).
-_DISPATCH_CACHE: dict[tuple[str, float | None], tuple[int, int]] = {}
-
-
-def _table_mtime(path: str) -> float | None:
-    try:
-        return os.path.getmtime(path)
-    except OSError:
-        # Missing/unreadable: let CrossoverTable.load raise its
-        # friendly error (or succeed, if the race resolved).
-        return None
-
-
-def _load_dispatch_table(path: str, mtime: float | None):
-    """The parsed :class:`CrossoverTable` at ``path``, cached by mtime."""
-    cached = _TABLE_CACHE.get(path)
-    if cached is not None and cached[0] == mtime and mtime is not None:
-        return cached[1]
-    from repro.obs.prof import CrossoverTable
-
-    table = CrossoverTable.load(path)
-    _TABLE_CACHE[path] = (mtime, table)
-    return table
-
-
-def dispatch_thresholds() -> tuple[int, int]:
-    """The ``(step-scan, solver)`` scalar/vectorized dispatch thresholds.
-
-    Sizes up to the threshold run the scalar kernel.  Without
-    ``REPRO_DISPATCH_TABLE`` the module defaults apply (read at call
-    time, so tests may monkeypatch ``_SMALL_QUEUE``/``_SMALL_SOLVE``);
-    with it, the named :class:`~repro.obs.prof.CrossoverTable` supplies
-    measured thresholds, falling back to the defaults for pairs the
-    table has no two-sided rows for.  Thresholds only select between
-    bit-identical kernels — results never depend on them.  The parsed
-    table is cached by (path, mtime): repeated calls cost one ``stat``,
-    and rewriting the file (recalibration) invalidates naturally.
-    """
-    path = os.environ.get(DISPATCH_ENV_VAR)
-    if not path:
-        return _SMALL_QUEUE, _SMALL_SOLVE
-    mtime = _table_mtime(path)
-    key = (path, mtime)
-    cached = _DISPATCH_CACHE.get(key)
-    if cached is None:
-        table = _load_dispatch_table(path, mtime)
-        cached = _DISPATCH_CACHE[key] = (
-            table.threshold("step_scan", _SMALL_QUEUE),
-            table.threshold("solver", _SMALL_SOLVE),
-        )
-    return cached
 
 
 def resolve_engine(engine: str | None = None) -> str:
@@ -269,10 +185,8 @@ class ActionArena:
     The per-slot numeric state (remaining / latency / rate) lives in
     float64 buffers that grow by doubling and are never shrunk, so a
     study reusing one arena pays those allocations once.  Consumption
-    entries and capacity refcounts are flat append-only stores rewound
-    per run; capacities are kept both as a float64 array (for the
-    vectorized solver) and as a Python-float list (for the scalar
-    kernels) — the values are identical.
+    entries, capacities (Python floats) and capacity refcounts are flat
+    append-only lists rewound per run.
     """
 
     __slots__ = (
@@ -284,7 +198,6 @@ class ActionArena:
         "e_rid",
         "e_w",
         "cap_refs",
-        "caps",
         "caps_list",
         "objs",
     )
@@ -298,18 +211,13 @@ class ActionArena:
         self.e_rid: list[int] = []
         self.e_w: list[float] = []
         self.cap_refs: list[int] = []
-        self.caps = np.zeros(0)
         self.caps_list: list[float] = []
         self.objs: list[ArrayAction] = []
 
     def reset(self, caps: np.ndarray) -> None:
         """Prepare for a new run over the given base capacity vector."""
-        n = caps.shape[0]
-        if self.caps.shape[0] < n:
-            self.caps = np.empty(max(n, 2 * self.caps.shape[0]))
-        self.caps[:n] = caps
         self.caps_list = caps.tolist()
-        self.cap_refs = [0] * n
+        self.cap_refs = [0] * caps.shape[0]
         self.e_start.clear()
         self.e_count.clear()
         self.e_rid.clear()
@@ -327,14 +235,6 @@ class ActionArena:
             buf[:n] = old
             setattr(self, attr, buf)
 
-    def grow_rids(self, needed: int) -> None:
-        n = self.caps.shape[0]
-        if needed <= n:
-            return
-        caps = np.empty(max(needed, 2 * n))
-        caps[:n] = self.caps
-        self.caps = caps
-
 
 class ArraySimulationEngine:
     """Array-state drop-in for :class:`~repro.simgrid.engine.SimulationEngine`.
@@ -346,9 +246,7 @@ class ArraySimulationEngine:
     weights) instead of ``add_action`` (Resource dicts).  Every scalar
     fast path of the object engine (dirty-flag re-solve, standalone
     entrants, shared-release detection) is replicated so the two
-    backends take identical solver calls and steps; the step scan and
-    the sharing solve dispatch between scalar and vectorized kernels by
-    instance size (see the module docstring).
+    backends take identical solver calls and steps.
     """
 
     def __init__(
@@ -374,9 +272,6 @@ class ArraySimulationEngine:
         # Wall-clock profiler for the kernel probes (None when absent:
         # every probe site costs one attribute load and a branch).
         self._prof = self._obs.profiler
-        # Dispatch thresholds resolved once per engine: module defaults
-        # or a measured REPRO_DISPATCH_TABLE (see dispatch_thresholds).
-        self._small_queue, self._small_solve = dispatch_thresholds()
 
     # ------------------------------------------------------------------
     @property
@@ -393,8 +288,6 @@ class ArraySimulationEngine:
         m = len(caps_values)
         start = self._nr
         a = self._arena
-        a.grow_rids(start + m)
-        a.caps[start : start + m] = caps_values
         a.caps_list.extend(caps_values)
         a.cap_refs.extend([0] * m)
         self._nr = start + m
@@ -499,14 +392,8 @@ class ArraySimulationEngine:
 
     def _solve(self) -> None:
         """Mirror of ``SimulationEngine._solve`` over the arena state."""
-        alive = self._alive
-        lat = self._arena.latency
-        if len(alive) <= self._small_queue:
-            lat_item = lat.item
-            working = [s for s in alive if lat_item(s) <= 0.0]
-        else:
-            idx = np.asarray(alive, dtype=np.intp)
-            working = idx[lat[idx] <= 0.0].tolist()
+        lat_item = self._arena.latency.item
+        working = [s for s in self._alive if lat_item(s) <= 0.0]
         if not working:
             return
         self.solver_calls += 1
@@ -554,31 +441,18 @@ class ArraySimulationEngine:
                 rids += e_rid[start : start + c]
                 ws += e_w[start : start + c]
         prof = self._prof
-        if total <= self._small_solve:
-            if prof is not None:
-                t0 = time.perf_counter()
-                rates = _maxmin_flat(counts, rids, ws, a.caps_list)
-                prof.probe("maxmin_flat", total, time.perf_counter() - t0)
-            else:
-                rates = _maxmin_flat(counts, rids, ws, a.caps_list)
-            for s, r in zip(working, rates):
-                rate[s] = r
+        if prof is not None:
+            t0 = time.perf_counter()
+            rates = _maxmin_flat(counts, rids, ws, a.caps_list)
+            prof.probe("maxmin_flat", total, time.perf_counter() - t0)
         else:
-            if prof is not None:
-                t0 = time.perf_counter()
-            res = _maxmin_dense(
-                np.asarray(counts, dtype=np.intp),
-                np.asarray(rids, dtype=np.intp),
-                np.asarray(ws, dtype=float),
-                a.caps,
-            )
-            if prof is not None:
-                prof.probe("maxmin_dense", total, time.perf_counter() - t0)
-            rate[np.asarray(working, dtype=np.intp)] = res
+            rates = _maxmin_flat(counts, rids, ws, a.caps_list)
+        for s, r in zip(working, rates):
+            rate[s] = r
 
     # ------------------------------------------------------------------
-    def _scan_small(self, alive: list) -> tuple[float, list]:
-        """Scalar step scan: a transliteration of the object engine's.
+    def _scan(self, alive: list) -> tuple[float, list]:
+        """Step scan: a transliteration of the object engine's.
 
         Reads the arena buffers element-wise (``ndarray.item`` returns
         a Python float), so every branch and every arithmetic
@@ -653,58 +527,6 @@ class ArraySimulationEngine:
                     rem_a[s] = nr if nr > 0.0 else 0.0
         return dt, completed
 
-    def _scan_vector(self, alive: list) -> tuple[float, list]:
-        """Vectorized step scan over the gathered slot arrays.
-
-        Every expression matches the object engine's scalar step loop —
-        same threshold, same ``rem / rate`` forms (division by zero
-        yields the ``inf`` the scalar branch assigns, ``rem / inf`` the
-        zero), same clamp — and slots fire in creation order, so
-        completions and callbacks are identical.
-        """
-        a = self._arena
-        idx = np.asarray(alive, dtype=np.intp)
-        lat = a.latency[idx]
-        rem = a.remaining[idx]
-        rt = a.rate[idx]
-        in_lat = lat > 0.0
-        inf = math.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(in_lat, lat, np.where(rem <= 0.0, 0.0, rem / rt))
-        dt = float(t.min())
-        if dt == inf:
-            names = [a.objs[s].name for s in alive]
-            raise SimulationError(
-                f"simulation stalled at t={self.now}: actions {names} can "
-                "make no progress (zero rate)"
-            )
-        if dt < 0:
-            raise SimulationError(f"negative time step {dt}")
-        self.now += dt
-        threshold = dt * (1.0 + _REL_EPS) + _EPS * 1e-6
-        fires = t <= threshold
-        hold = in_lat & ~fires
-        if hold.any():
-            a.latency[idx[hold]] = lat[hold] - dt
-        advance = ~(in_lat | fires) & (rt != inf)
-        if advance.any():
-            nr = rem[advance] - rt[advance] * dt
-            a.remaining[idx[advance]] = np.where(nr > 0.0, nr, 0.0)
-        trans = in_lat & fires
-        if trans.any():
-            a.latency[idx[trans]] = 0.0
-        fin_work = ~in_lat & fires
-        if fin_work.any():
-            a.remaining[idx[fin_work]] = 0.0
-        # Latency expirations entering the working set: the standalone
-        # check runs before this step's completions release anything,
-        # exactly like the object engine's single scan.
-        for slot in idx[trans & (rem > 0.0)].tolist():
-            if not (self._rates_dirty or self._set_standalone(slot)):
-                self._rates_dirty = True
-        completed = idx[(trans & (rem <= 0.0)) | fin_work].tolist()
-        return dt, completed
-
     def step(self) -> bool:
         """Advance to the next event; return False when nothing is left."""
         alive = self._alive
@@ -714,21 +536,13 @@ class ArraySimulationEngine:
             self._solve()
             self._rates_dirty = False
         prof = self._prof
-        n_alive = len(alive)
-        if n_alive <= self._small_queue:
-            if prof is not None:
-                t0 = time.perf_counter()
-                dt, completed = self._scan_small(alive)
-                prof.probe("scan_scalar", n_alive, time.perf_counter() - t0)
-            else:
-                dt, completed = self._scan_small(alive)
+        if prof is not None:
+            n_alive = len(alive)
+            t0 = time.perf_counter()
+            dt, completed = self._scan(alive)
+            prof.probe("scan_scalar", n_alive, time.perf_counter() - t0)
         else:
-            if prof is not None:
-                t0 = time.perf_counter()
-                dt, completed = self._scan_vector(alive)
-                prof.probe("scan_vector", n_alive, time.perf_counter() - t0)
-            else:
-                dt, completed = self._scan_vector(alive)
+            dt, completed = self._scan(alive)
         a = self._arena
         if completed:
             cap_refs = a.cap_refs

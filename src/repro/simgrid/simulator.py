@@ -31,7 +31,7 @@ the ``engine`` argument (or the ``REPRO_ENGINE`` environment variable):
   :class:`~repro.simgrid.engine.SimulationEngine` over ``Action``
   objects and ``Resource`` dicts;
 * ``"array"`` — :class:`~repro.simgrid.arena.ArraySimulationEngine`
-  over struct-of-arrays state with a vectorized solver and step loop.
+  over struct-of-arrays state with flat CSR consumption storage.
 
 Both backends produce bit-identical traces and ``engine.*`` counters
 (asserted by ``tests/experiments/test_engine_backends.py``), so cached
@@ -483,7 +483,7 @@ class ApplicationSimulator:
         return SimulationEngine(), start_task, start_redistribution
 
     def _array_backend(self, graph, schedule, on_task_complete, on_edge_complete):
-        """The vectorized backend: CSR entries over a resource layout."""
+        """The array backend: CSR entries over a resource layout."""
         layout = self._layout
         if layout is None:
             layout = layout_for(self.platform)

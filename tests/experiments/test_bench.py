@@ -55,6 +55,15 @@ class TestComparison:
         )
         assert [c.stage for c in comps] == ["scheduling"]
 
+    def test_stage_only_in_baseline_is_skipped(self):
+        # A baseline written before a stage was retired still compares.
+        comps = compare_to_baseline(
+            _payload(scheduling=0.1),
+            _payload(scheduling=0.1, retired_stage=0.01),
+        )
+        assert [c.stage for c in comps] == ["scheduling"]
+        assert "PASS" in render_comparison(comps)
+
     def test_config_mismatch_is_rejected(self):
         current = _payload(scheduling=0.1)
         current["config"] = {"num_dags": 2}
@@ -92,10 +101,6 @@ class TestBenchRun:
             "obs_overhead_on",
             "obs_live_overhead_off",
             "obs_live_overhead_on",
-            "solver_dense_scalar",
-            "solver_dense_vectorized",
-            "solver_sparse_scalar",
-            "solver_sparse_vectorized",
         }
         assert payload["config"]["repeat"] == 1
         assert payload["counters"]["engine.steps"] > 0
@@ -160,7 +165,7 @@ class TestBenchRun:
         assert payload["stages"]["study_cold_sched_array"]["sched"] == "array"
         # Stages with no allocation phase have no backend to report.
         assert "sched" not in payload["stages"]["dag_generation"]
-        assert "sched" not in payload["stages"]["solver_dense_scalar"]
+        assert "sched" not in payload["stages"]["testbed_execution"]
 
     def test_sched_speedup_reads_the_scheduling_pair(self):
         from repro.experiments.bench import sched_speedup

@@ -122,6 +122,20 @@ def test_check_passes_on_unchanged_timings(tmp_path):
     assert not any(c.regressed for c in comparisons)
 
 
+def test_check_ignores_stages_only_in_history(tmp_path):
+    # History written before a stage was retired still gates the rest.
+    path = tmp_path / "hist.jsonl"
+    for _ in range(3):
+        append_history(
+            _payload({"scheduling": 1.0, "retired_stage": 0.01}), path
+        )
+    comparisons = check_against_history(
+        _payload({"scheduling": 1.0}), load_history(path), tolerance=0.10
+    )
+    assert [c.stage for c in comparisons] == ["scheduling"]
+    assert not comparisons[0].regressed
+
+
 def test_check_fails_on_synthetic_2x_slowdown(tmp_path):
     """The acceptance fixture: a uniform 2x slowdown must regress."""
     path = tmp_path / "hist.jsonl"

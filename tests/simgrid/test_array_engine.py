@@ -4,9 +4,8 @@ Every fleet below runs once on :class:`SimulationEngine` (the oracle)
 and once on :class:`ArraySimulationEngine`, and the comparison is exact:
 same makespan, same per-action finish times (``==`` on floats, not
 approximate), same step and solver-call counts, same observability
-counters.  Fleet sizes straddle the engine's dispatch thresholds so the
-scalar kernels, the vectorized kernels, and the forced combinations of
-both are all pinned to the oracle.
+counters.  Fleets range from a dozen actions to a few hundred contended
+ones, well past the largest queue a shipped experiment reaches.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 
 from repro.obs.recorder import Recorder, recording
 from repro.platform.personalities import bayreuth_cluster
-from repro.simgrid import arena as arena_mod
 from repro.simgrid.arena import (
     ActionArena,
     ArraySimulationEngine,
@@ -110,34 +108,15 @@ class TestFleetEquivalence:
         # 12 concurrent actions: scalar step scan + flat solver.
         assert_engines_agree(layout, make_fleet(layout, 12, seed=1))
 
-    def test_large_fleet_vectorized_paths(self, layout):
-        # 300 concurrent contended actions: the queue exceeds the step
-        # scan threshold and the working set exceeds the solve
-        # threshold, so the vectorized kernels carry the run.
+    def test_large_fleet_matches(self, layout):
+        # 300 concurrent contended actions: long alive queues and
+        # large working sets on the same scalar kernels.
         fleet = make_fleet(layout, 300, seed=2)
         makespan, finishes, steps, solves = assert_engines_agree(
             layout, fleet
         )
         assert len(finishes) == 300
         assert steps > 100 and solves > 10
-
-    def test_forced_vectorized_on_small_fleet(self, layout, monkeypatch):
-        # Zero thresholds force the vector scan + dense solver onto a
-        # fleet the dispatcher would keep scalar; the results must not
-        # move — that is the whole bit-identity contract.
-        fleet = make_fleet(layout, 12, seed=3)
-        default = run_array(layout, fleet)
-        monkeypatch.setattr(arena_mod, "_SMALL_QUEUE", 0)
-        monkeypatch.setattr(arena_mod, "_SMALL_SOLVE", 0)
-        assert run_array(layout, fleet) == default
-        assert_engines_agree(layout, fleet)
-
-    def test_forced_scalar_on_large_fleet(self, layout, monkeypatch):
-        fleet = make_fleet(layout, 300, seed=2)
-        default = run_array(layout, fleet)
-        monkeypatch.setattr(arena_mod, "_SMALL_QUEUE", 10**9)
-        monkeypatch.setattr(arena_mod, "_SMALL_SOLVE", 10**9)
-        assert run_array(layout, fleet) == default
 
     def test_chained_callbacks_spawn_identically(self, layout):
         # Completions enqueue follow-up work mid-run on both engines —

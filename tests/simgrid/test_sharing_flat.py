@@ -1,11 +1,9 @@
-"""Property tests: every max-min solver implementation agrees bitwise.
+"""Property tests: the array engine's flat solver kernel agrees bitwise.
 
-The array engine dispatches between ``_maxmin_flat`` (scalar CSR
-kernel) and ``_maxmin_dense`` (vectorized CSR kernel) by instance size,
-and the dict-API wrapper ``solve_rates_vectorized`` feeds the dense
-kernel.  All of them must return *bit-identical* rates to
-``solve_rates`` (itself pinned to ``solve_rates_reference`` by
-``test_sharing_equivalence``) on every instance — trace equality
+The array engine solves max-min sharing with ``_maxmin_flat``, a
+scalar kernel over flat CSR inputs.  It must return *bit-identical*
+rates to the reference oracle ``solve_rates_reference`` and to the
+object engine's ``solve_rates`` on every instance — trace equality
 between the engine backends and cache-entry stability both rest on
 this.  Equality here is ``==`` on the floats, not approximate.
 """
@@ -14,17 +12,14 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simgrid.sharing import (
-    _maxmin_dense,
     _maxmin_flat,
     solve_rates,
     solve_rates_reference,
-    solve_rates_vectorized,
 )
 
 _WEIGHTS = st.floats(
@@ -45,7 +40,7 @@ def csr_instances(draw, weights=_WEIGHTS):
 
     Rows may be empty (unconstrained actions) and resources may go
     entirely unreferenced (declared capacity, no load) — both
-    degenerate cases the kernels must handle.
+    degenerate cases the kernel must handle.
     """
     num_res = draw(st.integers(min_value=1, max_value=6))
     caps = [
@@ -92,24 +87,15 @@ def dict_form(row_counts, e_rid, e_w, caps):
 
 def assert_all_solvers_agree(row_counts, e_rid, e_w, caps):
     consumption, capacity = dict_form(row_counts, e_rid, e_w, caps)
-    dense_args = (
-        np.asarray(row_counts, dtype=np.intp),
-        np.asarray(e_rid, dtype=np.intp),
-        np.asarray(e_w, dtype=float),
-        np.asarray(caps, dtype=float),
-    )
     try:
-        oracle = solve_rates(consumption, capacity, validate=False)
+        oracle = solve_rates_reference(consumption, capacity)
     except AssertionError:
         # Tiny-weight fleets where no resource carries a real load: the
-        # scalar solver's invariant error — every kernel must raise it
-        # on the same instance, not return garbage rates.
+        # oracle's invariant error — every solver must raise it on the
+        # same instance, not return garbage rates.
         for call in (
             lambda: _maxmin_flat(row_counts, e_rid, e_w, caps),
-            lambda: _maxmin_dense(*dense_args),
-            lambda: solve_rates_vectorized(
-                consumption, capacity, validate=False
-            ),
+            lambda: solve_rates(consumption, capacity, validate=False),
         ):
             with pytest.raises(
                 AssertionError, match="lost its remaining actions"
@@ -117,16 +103,13 @@ def assert_all_solvers_agree(row_counts, e_rid, e_w, caps):
                 call()
         return
     flat = _maxmin_flat(row_counts, e_rid, e_w, caps)
-    dense = _maxmin_dense(*dense_args)
-    wrapped = solve_rates_vectorized(consumption, capacity, validate=False)
-    assert len(flat) == dense.shape[0] == len(row_counts)
+    scalar = solve_rates(consumption, capacity, validate=False)
+    assert len(flat) == len(row_counts)
     for i in range(len(row_counts)):
         expect = oracle[i]
         # Bitwise: exact equality, inf included.
         assert flat[i] == expect, (i, flat[i].hex(), expect.hex())
-        got = float(dense[i])
-        assert got == expect, (i, got.hex(), expect.hex())
-        assert wrapped[i] == expect, (i, wrapped[i].hex(), expect.hex())
+        assert scalar[i] == expect, (i, scalar[i].hex(), expect.hex())
 
 
 @given(csr_instances())
@@ -143,14 +126,7 @@ def test_all_solvers_bitwise_equal_with_tiny_weights(instance):
 
 def test_empty_instance():
     assert _maxmin_flat([], [], [], []) == []
-    dense = _maxmin_dense(
-        np.zeros(0, dtype=np.intp),
-        np.zeros(0, dtype=np.intp),
-        np.zeros(0),
-        np.zeros(0),
-    )
-    assert dense.shape == (0,)
-    assert solve_rates_vectorized({}, {}) == {}
+    assert solve_rates_reference({}, {}) == {}
 
 
 def test_all_rows_empty_are_unconstrained():
@@ -161,7 +137,7 @@ def test_all_rows_empty_are_unconstrained():
 
 def test_single_nonempty_row_fast_path():
     # One constrained action among unconstrained ones exercises the
-    # single-row fast path of both kernels.
+    # kernel's single-row fast path.
     assert_all_solvers_agree([0, 2, 0], [0, 1], [2.0, 0.5], [4.0, 3.0])
     flat = _maxmin_flat([0, 2, 0], [0, 1], [2.0, 0.5], [4.0, 3.0])
     assert flat == [math.inf, 2.0, math.inf]  # min(4/2, 3/0.5)
@@ -174,12 +150,7 @@ def test_single_row_all_tiny_weights_raises_like_scalar():
     with pytest.raises(AssertionError, match="lost its remaining actions"):
         _maxmin_flat(*args)
     with pytest.raises(AssertionError, match="lost its remaining actions"):
-        _maxmin_dense(
-            np.asarray(args[0], dtype=np.intp),
-            np.asarray(args[1], dtype=np.intp),
-            np.asarray(args[2]),
-            np.asarray(args[3]),
-        )
+        solve_rates_reference({0: {0: 1e-13, 1: 1e-14}}, {0: 4.0, 1: 3.0})
     with pytest.raises(AssertionError, match="lost its remaining actions"):
         solve_rates({0: {0: 1e-13, 1: 1e-14}}, {0: 4.0, 1: 3.0},
                     validate=False)
@@ -187,19 +158,13 @@ def test_single_row_all_tiny_weights_raises_like_scalar():
 
 def test_unreferenced_resources_do_not_disturb_rates():
     # Declared-but-unused capacities (the "empty resource" corner): the
-    # kernels index capacities by id, so trailing unused ids must be
+    # kernel indexes capacities by id, so trailing unused ids must be
     # inert.
     row_counts, e_rid, e_w = [1, 1], [0, 0], [1.0, 1.0]
     with_extra = _maxmin_flat(row_counts, e_rid, e_w, [2.0, 99.0, 7.0])
     without = _maxmin_flat(row_counts, e_rid, e_w, [2.0])
     assert with_extra == without == [1.0, 1.0]
-    dense = _maxmin_dense(
-        np.asarray(row_counts, dtype=np.intp),
-        np.asarray(e_rid, dtype=np.intp),
-        np.asarray(e_w),
-        np.asarray([2.0, 99.0, 7.0]),
-    )
-    assert dense.tolist() == without
+    assert_all_solvers_agree(row_counts, e_rid, e_w, [2.0, 99.0, 7.0])
 
 
 def test_shared_bottleneck_chain_matches_scalar():
@@ -213,25 +178,9 @@ def test_shared_bottleneck_chain_matches_scalar():
     assert _maxmin_flat(row_counts, e_rid, e_w, caps) == [1.0, 1.0, 9.0]
 
 
-def test_vectorized_wrapper_validates_like_scalar():
-    # The wrapper re-raises the scalar solver's exact validation
-    # errors: zero weights, unknown resources, non-positive capacity.
-    for consumption, capacity in (
-        ({"a": {"r0": 0.0}}, {"r0": 1.0}),
-        ({"a": {"r0": -1.0}}, {"r0": 1.0}),
-        ({"a": {"r0": 1.0}}, {}),
-        ({"a": {"r0": 1.0}}, {"r0": 0.0}),
-    ):
-        with pytest.raises(ValueError) as scalar_err:
-            solve_rates(consumption, capacity)
-        with pytest.raises(ValueError) as vector_err:
-            solve_rates_vectorized(consumption, capacity)
-        assert str(vector_err.value) == str(scalar_err.value)
-
-
 def test_first_touch_tie_break_matches_scalar():
     # Two resources with identical fair shares: the winner is the one
-    # the consumption mapping references first, in every kernel.
+    # the consumption mapping references first, in every solver.
     row_counts = [2, 2]
     e_rid = [1, 0, 1, 0]  # resource 1 is touched first
     e_w = [1.0, 1.0, 1.0, 1.0]

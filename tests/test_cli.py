@@ -317,38 +317,21 @@ class TestProfileCommand:
         assert rc == 0
         assert "redistribution overhead" in capsys.readouterr().out
 
-    def test_wall_profile(self, capsys, tmp_path, monkeypatch):
+    def test_wall_profile(self, capsys, tmp_path):
         from repro.obs.flame import parse_collapsed
-        from repro.obs.prof import CrossoverTable
 
-        # The controlled calibration sweep takes tens of seconds; a
-        # canned table keeps this a CLI-wiring test (the sweep itself
-        # is exercised by the bench payload's crossovers section).
-        canned = CrossoverTable()
-        canned.add("solver", 8, scalar_s=1e-6, vectorized_s=2e-6)
-        canned.add("step_scan", 32, scalar_s=2e-6, vectorized_s=3e-6)
-        canned.add("step_scan", 64, scalar_s=2e-6, vectorized_s=1e-6)
-        monkeypatch.setattr(
-            CrossoverTable, "measure", classmethod(lambda cls, **kw: canned)
-        )
         flame = tmp_path / "profile.folded"
         chrome = tmp_path / "profile.chrome.json"
-        table = tmp_path / "dispatch.json"
         rc = main(["profile", "--what", "wall", "--dags", "1",
-                   "--flame", str(flame), "--chrome", str(chrome),
-                   "--save-table", str(table)])
+                   "--flame", str(flame), "--chrome", str(chrome)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "span tree" in out
         assert "kernel cost table" in out
-        assert "vectorized wins from ~64 actions" in out
-        assert "REPRO_DISPATCH_TABLE" in out
         stacks = parse_collapsed(flame.read_text())
         assert any(path[0] == "study.execute" for path in stacks)
         doc = json.loads(chrome.read_text())
         assert any(e.get("ph") == "X" for e in doc["traceEvents"])
-        loaded = CrossoverTable.load(table)
-        assert loaded.crossover("step_scan") == 64
 
 
 class TestBenchCommand:
@@ -372,12 +355,6 @@ class TestBenchCommand:
                 "repeat": 1,
             },
             "counters": {},
-            "crossovers": {
-                "solver": {"unit": "entries", "crossover": None,
-                           "threshold": 512},
-                "step_scan": {"unit": "actions", "crossover": 64,
-                              "threshold": 32},
-            },
             "stages": {
                 name: {"seconds": factor * base, "units": 4,
                        "seconds_per_unit": factor * base / 4}
@@ -398,7 +375,6 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "no compatible entries" in out
         assert "appended bench entry" in out
-        assert "crossover" in out
         assert main(["bench", "--check", "--history", str(hist)]) == 0
         assert "PASS" in capsys.readouterr().out
         # A synthetic 2x slowdown must fail the gate with exit code 1.
