@@ -15,13 +15,16 @@ Pieces
     :func:`layer_keys`, which builds each cell's schedule, simulation
     and testbed keys from the fingerprints' digests, each hashed once.
 :mod:`repro.cache.store`
-    Atomic file-per-entry store (``<layer>/<hash>.pkl``,
-    write-temp-then-rename, fork-pool safe) with corruption and
-    version-skew detection.  It keeps no in-memory tier, and a failed
-    write is counted and skipped instead of aborting the study.
+    Pack-file store (``<layer>/<pid>-<n>.pack``: many entries per file,
+    each verified on read, published write-temp-then-rename, fork-pool
+    safe) with corruption and version-skew detection.  Entries buffer
+    inside a batch scope and publish as one pack per layer when it
+    exits; a failed publish is counted and skipped instead of aborting
+    the study.
 :mod:`repro.cache.result_cache`
     The :class:`ResultCache` facade the pipeline calls, with per-layer
-    hit/miss counters through the observability Recorder.
+    hit/miss counters through the observability Recorder and the
+    :meth:`~ResultCache.batch` scope the study runner writes through.
 :data:`CACHE_SCHEMA_VERSION`
     The code-generation fingerprint embedded in every entry; bumping it
     invalidates all previously persisted results.

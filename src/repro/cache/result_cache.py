@@ -32,6 +32,7 @@ emulator's fingerprint, once per suite build.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
@@ -52,8 +53,10 @@ LAYERS = ("calibration", "schedule", "simulation")
 class ResultCache:
     """Content-addressed memoization over a directory.
 
-    Safe to share with forked pool workers: lookups and stores go
-    through the store's atomic file protocol.
+    Safe to share with forked pool workers: every pack is published
+    atomically under a name only its writer process uses.  Wrap a run
+    of :meth:`get_or_compute` calls in :meth:`batch` to publish their
+    entries as one pack per layer instead of one pack per entry.
     """
 
     def __init__(
@@ -77,8 +80,9 @@ class ResultCache:
 
         ``key`` is any canonically-encodable structure (see
         :mod:`repro.cache.keys`); ``compute`` runs only on a miss and
-        its result is persisted before being returned (or, when the
-        write fails, returned unpersisted — see :meth:`CacheStore.put`).
+        its result is stored before being returned — published at once,
+        or when the enclosing :meth:`batch` exits — and returned
+        unpersisted when the write fails (see :meth:`CacheStore.put`).
         """
         key_hash = canonical_hash(key)
         found, value = self.store.get(layer, key_hash)
@@ -113,6 +117,21 @@ class ResultCache:
         a wrong hint as "use the normal path", never as data.
         """
         return self.store.contains(layer, canonical_hash(key))
+
+    # -- write batching ------------------------------------------------
+    def batch(self) -> AbstractContextManager:
+        """Scope whose stores publish together on exit (normally, on an
+        exception or on ``KeyboardInterrupt``); see
+        :meth:`CacheStore.batch`."""
+        return self.store.batch()
+
+    def flush(self) -> int:
+        """Publish the entries buffered so far; returns their count."""
+        return self.store.flush()
+
+    def reset_pending(self) -> None:
+        """Forget buffered entries and open batches (forked workers)."""
+        self.store.reset_pending()
 
     # -- maintenance (the ``repro cache`` command) ---------------------
     def info(self) -> CacheStoreInfo:

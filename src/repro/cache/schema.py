@@ -16,4 +16,4 @@ from __future__ import annotations
 __all__ = ["CACHE_SCHEMA_VERSION"]
 
 #: Bump on any semantic change to cached computations (see module doc).
-CACHE_SCHEMA_VERSION = "repro-cache-2"
+CACHE_SCHEMA_VERSION = "repro-cache-3"

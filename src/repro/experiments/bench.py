@@ -474,12 +474,15 @@ def host_metadata() -> dict:
 
     Wall-clock stage times are only comparable on similar machines, so
     every payload (and, through it, every history entry) records the
-    cpu count, OS/arch string and python version that produced it —
-    the minimum needed to judge whether two bench trajectories ran on
-    comparable hardware.
+    cpu count, OS, machine architecture and python version that
+    produced it — the minimum needed to judge whether two bench
+    trajectories ran on comparable hardware — plus the full platform
+    string for the reader.
     """
     return {
         "cpus": os.cpu_count(),
+        "system": py_platform.system(),
+        "machine": py_platform.machine(),
         "platform": py_platform.platform(),
         "python": py_platform.python_version(),
     }

@@ -13,8 +13,9 @@ as the committed-baseline comparison's threshold (see
 Entries are compatible when they measured the same work on the same
 machine: equal ``num_dags``, engine backend, scheduler backend
 (entries written before the scheduler switch existed count as
-``object``) and host fingerprint (cpus / platform / python, stamped
-into payloads since the host metadata landed; entries and payloads
+``object``) and host fingerprint (cpus / OS / machine / Python
+major.minor, stamped into payloads since the host metadata landed;
+a kernel or Python patch update keeps the fingerprint; entries and payloads
 both lacking one compare equal, so pre-metadata histories keep
 working).  Cross-host comparisons are exactly the false regressions a
 rolling baseline exists to avoid — a laptop's medians say nothing
@@ -115,7 +116,15 @@ def load_history(path: str | Path | None = None) -> list[dict]:
 
 
 def host_fingerprint(host: object) -> tuple | None:
-    """A host-metadata dict reduced to its comparable identity.
+    """A host-metadata dict reduced to its stable identity.
+
+    The identity is the cpu count, the OS, the machine architecture
+    and the Python major.minor: what decides whether stage times are
+    comparable, and nothing that changes with a kernel or patch-level
+    update.  Stamps name the OS and machine in ``system`` and
+    ``machine``; older stamps only carry ``platform.platform()``
+    (``Linux-6.18.5-fc-v20-x86_64-with-glibc2.36``), whose first field
+    is the OS and whose field before ``-with-`` is the machine.
 
     ``None`` for entries/payloads without host metadata (written before
     it existed) — two missing fingerprints compare equal, so old
@@ -125,10 +134,12 @@ def host_fingerprint(host: object) -> tuple | None:
     """
     if not isinstance(host, dict):
         return None
+    fields = str(host.get("platform")).split("-with-")[0].split("-")
     return (
         host.get("cpus"),
-        str(host.get("platform")),
-        str(host.get("python")),
+        host.get("system", fields[0]),
+        host.get("machine", fields[-1]),
+        ".".join(str(host.get("python")).split(".")[:2]),
     )
 
 

@@ -458,6 +458,10 @@ def _pool_init(
     _POOL_STATE["suites"] = suites
     _POOL_STATE["emulator"] = emulator
     _POOL_STATE["obs_enabled"] = obs_enabled
+    if cache is not None:
+        # The parent published its buffer before the fork; a worker
+        # starts empty, so no entry is published twice.
+        cache.reset_pending()
     _POOL_STATE["cache"] = cache
     _POOL_STATE["engine"] = engine
     _POOL_STATE["timeline_enabled"] = timeline_enabled
@@ -547,10 +551,16 @@ def _pool_run_chunk(
     can replay each cell's record and timeline slice at its exact grid
     position while folding the order-independent aggregates (counters,
     span stats, profile sums) in once per chunk.
+
+    The chunk's cache entries are published as one pack per layer when
+    the chunk ends, also when a cell raises (inside the worker's
+    recorder, so write counters reach the payload).
     """
     state = _POOL_STATE
     records: list[RunRecord] = []
     emitter = state.get("live")
+    cache = state.get("cache")
+    batch = cache.batch() if cache is not None else nullcontext()
     if positions is None:
         positions = range(len(cells))
 
@@ -566,8 +576,9 @@ def _pool_run_chunk(
     if emitter is not None:
         emitter.chunk_claimed(len(cells))
     if not state["obs_enabled"]:
-        for k, cell in enumerate(cells):
-            records.append(_traced_cell(k, cell))
+        with batch:
+            for k, cell in enumerate(cells):
+                records.append(_traced_cell(k, cell))
         return records, None
     # A worker timeline numbers its runs from 0; the parent's
     # Timeline.absorb rebases each slice's run ids by its running
@@ -580,7 +591,7 @@ def _pool_run_chunk(
     prof = Profiler() if state.get("profiler_enabled") else None
     worker_obs = Recorder(MemorySink(), timeline=tl, profiler=prof)
     marks: list[tuple[int, int, int]] = []
-    with recording(worker_obs):
+    with recording(worker_obs), batch:
         for k, cell in enumerate(cells):
             records.append(_traced_cell(k, cell))
             marks.append(
@@ -771,6 +782,10 @@ def _run_grid_chunked(
     # initializer args.
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    if cache is not None:
+        # Publish before forking: workers must not inherit (and publish
+        # again) entries the parent buffered in an enclosing batch.
+        cache.flush()
     where: dict[int, tuple[int, int]] = {}
     for ci, chunk_positions in enumerate(chunks):
         for k, pos in enumerate(chunk_positions):
@@ -871,11 +886,17 @@ def run_study(
     ``cache`` enables content-addressed memoization of every cell's
     schedule, simulated trace and emulated trace: a warm re-run skips
     any cell whose inputs are unchanged and returns bit-identical
-    records.  The cache is shared safely with pool workers (atomic
-    file-per-entry writes); per-layer hit/miss counters land in the
-    recorder either way.  In the parallel path, fully cached cells are
-    detected up front by a batched side-effect-free probe and replayed
-    inline in the parent — they never reach the pool.
+    records.  Entries are published as pack files, one per layer per
+    batch: the serial loop publishes once per suite row and each pool
+    chunk once when it ends — also when a cell raises or the study is
+    interrupted — so a hard kill loses at most one suite row (serial)
+    or one chunk per worker (pooled), and a re-run recomputes only
+    those cells.  The cache is shared safely with pool workers (each
+    publishes atomically under its own names); per-layer hit/miss
+    counters land in the recorder either way.  In the parallel path,
+    fully cached cells are detected up front by a batched
+    side-effect-free probe and replayed inline in the parent — they
+    never reach the pool.
 
     ``engine`` selects the simulation backend (``"object"`` or
     ``"array"``; default resolves via ``REPRO_ENGINE``).  Backends are
@@ -943,40 +964,43 @@ def run_study(
             )
         pos = 0
         for suite_idx, suite in enumerate(suites):
-            simulator = ApplicationSimulator(
-                platform,
-                suite.task_model,
-                startup_model=suite.startup_model,
-                redistribution_model=suite.redistribution_model,
-                engine=engine,
-            )
-            for dag_idx, (params, graph) in enumerate(dags):
-                cell_digests = digests and digests.cell(suite_idx, dag_idx)
-                costs = SchedulingCosts(
-                    graph,
+            # One batch per suite row: its entries are published as
+            # one pack per layer when the row ends, normally or not.
+            with cache.batch() if cache is not None else nullcontext():
+                simulator = ApplicationSimulator(
                     platform,
                     suite.task_model,
                     startup_model=suite.startup_model,
                     redistribution_model=suite.redistribution_model,
+                    engine=engine,
                 )
-                for algorithm in algorithms:
-                    if telemetry is not None:
-                        label = f"{suite.name}:{graph.name}/{algorithm}"
-                        telemetry.cell_started(pos, label)
-                        cell_t0 = time.monotonic()
-                    result.records.append(
-                        _run_cell(
-                            suite, params, graph, algorithm, emulator,
-                            costs=costs, cache=cache, engine=engine,
-                            simulator=simulator, sched=sched,
-                            digests=cell_digests,
-                        )
+                for dag_idx, (params, graph) in enumerate(dags):
+                    cell_digests = digests and digests.cell(suite_idx, dag_idx)
+                    costs = SchedulingCosts(
+                        graph,
+                        platform,
+                        suite.task_model,
+                        startup_model=suite.startup_model,
+                        redistribution_model=suite.redistribution_model,
                     )
-                    if telemetry is not None:
-                        telemetry.cell_finished(
-                            pos, label, time.monotonic() - cell_t0
+                    for algorithm in algorithms:
+                        if telemetry is not None:
+                            label = f"{suite.name}:{graph.name}/{algorithm}"
+                            telemetry.cell_started(pos, label)
+                            cell_t0 = time.monotonic()
+                        result.records.append(
+                            _run_cell(
+                                suite, params, graph, algorithm, emulator,
+                                costs=costs, cache=cache, engine=engine,
+                                simulator=simulator, sched=sched,
+                                digests=cell_digests,
+                            )
                         )
-                    pos += 1
+                        if telemetry is not None:
+                            telemetry.cell_finished(
+                                pos, label, time.monotonic() - cell_t0
+                            )
+                        pos += 1
     if obs.enabled:
         # Same two aggregates in both modes (the serial loop's
         # dispatch wait is genuinely zero), so metrics keep identical

@@ -162,12 +162,45 @@ def test_check_returns_none_without_compatible_history(tmp_path):
 
 
 def test_host_fingerprint_reduces_host_metadata():
-    assert host_fingerprint(_LAPTOP) == (8, "Linux-x86_64", "3.12.1")
+    assert host_fingerprint(_LAPTOP) == (8, "Linux", "x86_64", "3.12")
     # Missing metadata (pre-host-field histories) reduces to None —
     # and two Nones compare equal, so old entries still baseline old
     # payloads.
     assert host_fingerprint(None) is None
     assert host_fingerprint("not a dict") is None
+
+
+def test_kernel_and_patch_updates_keep_the_host_fingerprint():
+    before = {
+        "cpus": 1,
+        "platform": "Linux-6.18.5-fc-v20-x86_64-with-glibc2.36",
+        "python": "3.11.7",
+    }
+    after = dict(
+        before,
+        platform="Linux-6.18.44-fc-v139-x86_64-with-glibc2.36",
+        python="3.11.9",
+    )
+    assert host_fingerprint(before) == host_fingerprint(after)
+    # A current stamp names the OS and machine outright, and matches
+    # the committed stamps that only carry the platform string.
+    current = dict(after, system="Linux", machine="x86_64")
+    assert host_fingerprint(current) == (1, "Linux", "x86_64", "3.11")
+    assert host_fingerprint(current) == host_fingerprint(before)
+    # What does change comparability still tells hosts apart.
+    for other in (
+        dict(after, cpus=2),
+        dict(after, python="3.12.1"),
+        dict(current, machine="aarch64"),
+    ):
+        assert host_fingerprint(other) != host_fingerprint(before)
+
+
+def test_committed_history_fingerprints_name_no_kernel():
+    # The committed entries were stamped on one kernel build; any
+    # 1-cpu Linux x86_64 host on Python 3.11 now finds them.
+    fingerprints = {host_fingerprint(e.get("host")) for e in load_history()}
+    assert (1, "Linux", "x86_64", "3.11") in fingerprints
 
 
 def test_rolling_baseline_filters_to_matching_host(tmp_path):

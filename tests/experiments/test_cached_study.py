@@ -368,6 +368,94 @@ class TestCacheWriteFailures:
             assert len(messages) == 1 and str(root) in messages[0]
 
 
+def _fail_at(monkeypatch, graph_name, algorithm, error):
+    """Make scheduling one cell raise ``error``; forked pool workers
+    inherit the patch."""
+    real = runner_mod.schedule_dag
+
+    def schedule_dag(graph, costs, algo, **kwargs):
+        if graph.name == graph_name and algo == algorithm:
+            raise error(f"injected failure at {graph_name}/{algorithm}")
+        return real(graph, costs, algo, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "schedule_dag", schedule_dag)
+
+
+class TestFaultInjection:
+    """An interrupted study keeps what it finished; a damaged pack
+    between studies is discarded and recomputed."""
+
+    @pytest.mark.parametrize(
+        "workers, error, rerun_misses",
+        [
+            # Serial: the row's batch publishes cells 0-1 on the way
+            # out; cells 2-5 (three entries each) are recomputed.
+            (1, RuntimeError, 3 * 4),
+            (1, KeyboardInterrupt, 3 * 4),
+            # Pooled, chunks of two: the failing chunk [2, 3] publishes
+            # nothing, the chunks before and after it everything.
+            (2, RuntimeError, 3 * 2),
+        ],
+        ids=["serial-raise", "serial-ctrl-c", "pooled-raise"],
+    )
+    def test_interrupted_study_resumes_from_its_cache(
+        self, study_inputs, tmp_path, monkeypatch, workers, error,
+        rerun_misses,
+    ):
+        dags, suite, emulator = study_inputs
+        baseline, _ = _run(study_inputs, cache=None)
+        cache = ResultCache(tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            _fail_at(patch, dags[1][1].name, "hcpa", error)
+            with pytest.raises(error, match="injected failure"):
+                run_study(
+                    dags, [suite], emulator, workers=workers, cache=cache,
+                    chunk=2,
+                )
+        recorder = Recorder.to_memory()
+        with recording(recorder):
+            rerun = run_study(
+                dags, [suite], emulator, workers=workers,
+                cache=ResultCache(tmp_path / "cache"), chunk=2,
+            )
+        assert rerun.records == baseline.records
+        counters = recorder.metrics()["counters"]
+        assert counters["cache.misses"] == rerun_misses
+        assert counters["cache.hits"] == 3 * len(baseline.records) - (
+            rerun_misses
+        )
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data[: len(data) // 2],
+            lambda data: data[:100] + bytes([data[100] ^ 0x40]) + data[101:],
+            lambda data: data[:-30] + bytes([data[-30] ^ 0x40]) + data[-29:],
+        ],
+        ids=["truncated", "bit-flipped-entry", "bit-flipped-index"],
+    )
+    @pytest.mark.parametrize("layer", ["schedule", "simulation"])
+    def test_damaged_pack_between_studies_is_recomputed(
+        self, study_inputs, tmp_path, damage, layer
+    ):
+        baseline, _ = _run(study_inputs, cache=None)
+        root = tmp_path / "cache"
+        _run(study_inputs, cache=ResultCache(root))
+        (pack,) = (root / layer).glob("*.pack")
+        pack.write_bytes(damage(pack.read_bytes()))
+
+        rerun, counters = _run(study_inputs, cache=ResultCache(root))
+        assert rerun.records == baseline.records
+        assert counters["cache.discarded.corrupt"] == 1
+        info = ResultCache(root).info()  # removed, and rewritten whole
+        assert info.corrupt_entries == 0
+        assert info.entries == 3 * len(baseline.records)
+        # Only the damaged layer's entries were recomputed: one
+        # schedule, or two traces, per cell.
+        per_cell = 1 if layer == "schedule" else 2
+        assert counters["cache.misses"] == per_cell * len(baseline.records)
+
+
 class TestCellErrors:
     def test_record_keyerror_names_the_missing_cell(self, study_inputs):
         dags, suite, emulator = study_inputs
